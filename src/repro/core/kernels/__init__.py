@@ -1,121 +1,30 @@
-"""Pluggable numeric kernel backends for the decode pipeline.
+"""The decode pipeline's numeric kernels.
 
-The pipeline's arithmetic hot spots (Lloyd iterations, lattice
-matching, edge-differential extraction, Viterbi) dispatch through a
-:class:`~repro.core.kernels.base.KernelBackend`.  Two implementations
-ship:
-
-* ``"reference"`` — pure numpy, bit-identical to the decoder's
-  original code paths (pinned by the golden digests);
-* ``"numba"`` — the same kernels JIT-compiled, requiring the optional
-  ``[jit]`` extra; numerically equivalent (property-tested).
-
-Selection precedence, first match wins:
-
-1. an explicit name passed by the caller (``LFDecoderConfig.
-   kernel_backend``, or directly to :func:`resolve_backend`);
-2. the ``REPRO_KERNEL_BACKEND`` environment variable;
-3. the default, ``"reference"``.
-
-``"auto"`` picks numba when importable, else reference, silently.
-Requesting ``"numba"`` explicitly when numba is missing warns once per
-process and degrades to the reference backend — never an import error.
+The reader's arithmetic hot spots (Lloyd iterations, lattice matching,
+edge-differential extraction, Viterbi) are pure numpy in
+:mod:`.reference`.  Every decode calls them through :data:`KERNELS`,
+looking the method up at each call.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from ...errors import ConfigurationError
-from .base import KernelBackend
 from .reference import ReferenceBackend
 
-__all__ = [
-    "KernelBackend",
-    "ReferenceBackend",
-    "ENV_VAR",
-    "DEFAULT_BACKEND",
-    "available_backends",
-    "resolve_backend",
-    "get_backend",
-]
+__all__ = ["KERNELS", "ReferenceBackend", "resolve_backend"]
 
-#: Environment variable consulted when no explicit backend is given.
-ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-#: Backend used when neither the caller nor the environment chooses.
-DEFAULT_BACKEND = "reference"
-
-#: Constructed backends, one per name — warm-up (JIT compilation) runs
-#: once per process, not once per decoder.
-_instances: Dict[str, KernelBackend] = {}
-
-_warned_numba_missing = False
+#: The one kernel instance every decode dispatches through.
+KERNELS = ReferenceBackend()
 
 
-def _numba_importable() -> bool:
-    import importlib.util
+def resolve_backend(name: Optional[str] = None) -> ReferenceBackend:
+    """:data:`KERNELS` for ``None`` or ``"reference"``.
 
-    return importlib.util.find_spec("numba") is not None
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Backend names constructible in this environment."""
-    names = ["reference"]
-    if _numba_importable():
-        names.append("numba")
-    return tuple(names)
-
-
-def _build_numba() -> Optional[KernelBackend]:
-    """Construct the numba backend, or None (warning once) without it."""
-    global _warned_numba_missing
-    try:
-        from .numba_backend import NumbaBackend
-
-        return NumbaBackend()
-    except ImportError:
-        if not _warned_numba_missing:
-            _warned_numba_missing = True
-            warnings.warn(
-                "REPRO kernel backend 'numba' requested but numba is "
-                "not installed; falling back to the pure-numpy "
-                "reference backend (pip install 'repro-lf[jit]' to "
-                "enable it)", RuntimeWarning, stacklevel=3)
-        return None
-
-
-def resolve_backend(name: Optional[str] = None) -> KernelBackend:
-    """Resolve a backend by the documented precedence.
-
-    ``name`` overrides everything; ``None`` falls back to the
-    ``REPRO_KERNEL_BACKEND`` environment variable, then the default.
-    Unknown names raise :class:`~repro.errors.ConfigurationError`; a
-    missing numba degrades to the reference backend with one warning.
+    Any other name raises :class:`~repro.errors.ConfigurationError`.
     """
-    requested = name if name is not None else os.environ.get(ENV_VAR)
-    requested = (requested or DEFAULT_BACKEND).strip().lower()
-    if requested == "auto":
-        requested = "numba" if _numba_importable() else "reference"
-    if requested not in ("reference", "numba"):
+    if name is not None and name != "reference":
         raise ConfigurationError(
-            f"unknown kernel backend {requested!r}; expected "
-            "'reference', 'numba' or 'auto'")
-    cached = _instances.get(requested)
-    if cached is not None:
-        return cached
-    if requested == "numba":
-        backend = _build_numba()
-        if backend is None:
-            return resolve_backend("reference")
-    else:
-        backend = ReferenceBackend()
-    _instances[requested] = backend
-    return backend
-
-
-def get_backend() -> KernelBackend:
-    """The process-default backend (environment-driven precedence)."""
-    return resolve_backend(None)
+            f"unknown kernel backend {name!r}; expected 'reference'")
+    return KERNELS

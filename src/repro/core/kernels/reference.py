@@ -1,11 +1,9 @@
-"""Pure-numpy reference implementations of the decode kernels.
+"""Pure-numpy implementations of the decode kernels.
 
 These are the decoder's original hot-path code, moved verbatim out of
-``clustering.py`` / ``separation.py`` / ``edges.py`` / ``viterbi.py``
-so they sit behind the :class:`~repro.core.kernels.base.KernelBackend`
-seam.  Every operation and its order is preserved, so a decode through
-this backend is bit-identical to the pre-kernel pipeline — the golden
-SHA-256 digests in ``tests/golden/`` pin exactly that.
+``clustering.py`` / ``separation.py`` / ``edges.py`` / ``viterbi.py``.
+Every operation and its order is preserved; the golden SHA-256 digests
+in ``tests/golden/`` pin the decoder's output bit for bit.
 """
 
 from __future__ import annotations
@@ -320,12 +318,11 @@ def viterbi_banded(obs: np.ndarray, band: float,
 
 
 class ReferenceBackend:
-    """The pure-numpy :class:`KernelBackend` — bit-exact by definition."""
+    """The kernels as methods of one object.
 
-    name = "reference"
-
-    def warm_up(self) -> None:
-        """Nothing to compile."""
+    Callers look each method up on the shared instance at call time,
+    so a profiler can time a kernel by shadowing it on that instance.
+    """
 
     lloyd_batched = staticmethod(lloyd_batched)
     bounded_lloyd = staticmethod(bounded_lloyd)

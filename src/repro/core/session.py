@@ -524,15 +524,3 @@ class SessionState:
             if per_point > self.config.inertia_blowup * floor:
                 return True
         return False
-
-
-def __getattr__(name: str):
-    # Lazy re-export: SessionDecoder moved to session_decoder.py (it
-    # sits above the pipeline in the import graph, this module below).
-    # PEP 562 keeps ``from repro.core.session import SessionDecoder``
-    # working without a module-scope import cycle.
-    if name == "SessionDecoder":
-        from .session_decoder import SessionDecoder
-        return SessionDecoder
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

@@ -21,7 +21,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from ..core.engine import BatchDecoder
 from ..core.pipeline import LFDecoderConfig
 from ..core.session_decoder import SessionDecoder
-from ..core.stages import StatsAccumulator, dedup_streams, worse_health
+from ..core.stages import StatsAccumulator, dedup_streams
 from ..errors import ConfigurationError
 from ..types import EpochResult, IQTrace
 from .epoch import EpochCapture
@@ -140,8 +140,3 @@ def merge_chunk_results(pairs: Iterable[Tuple[float, EpochResult]],
         stats.absorb_result(result, offset_shift=shift)
     merged.streams = dedup_streams(merged.streams)
     return stats.publish(merged)
-
-
-#: Back-compat alias: the health-merge helper now lives in
-#: :mod:`repro.core.stages.stats` next to the rest of the merge logic.
-_worse_health = worse_health

@@ -55,12 +55,11 @@ FORBIDDEN_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("repro.core.stages.", "repro.core.engine"),
 )
 
-#: The kernel backends are the bottom of the compute stack: plain
+#: The numeric kernels are the bottom of the compute stack: plain
 #: arrays in, plain arrays out.  Nothing under this prefix may import
 #: anything from ``repro`` except its own siblings and the entries in
-#: the allowlist — a backend that needs pipeline/stage types is a
-#: layering bug, and would also drag JIT compilation into modules that
-#: must import cheaply.
+#: the allowlist — a kernel that needs pipeline/stage types is a
+#: layering bug.
 KERNELS_PREFIX = "repro.core.kernels"
 KERNELS_ALLOWED: Tuple[str, ...] = ("repro.errors",)
 
@@ -217,7 +216,7 @@ def check() -> List[str]:
                 continue
             problems.append(
                 f"forbidden import: {importer} -> {imported} "
-                f"(kernel backends must stay below the decode layers)")
+                f"(kernels must stay below the decode layers)")
     return problems
 
 
