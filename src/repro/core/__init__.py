@@ -25,8 +25,7 @@ from .folding import FoldingConfig, find_stream_hypotheses
 from .streams import StreamTrack, track_stream, read_grid_differentials
 from .clustering import KMeansResult, kmeans, select_cluster_count
 from .collision import CollisionReport, detect_collision
-from .fidelity import (FIDELITY_STAT_KEYS, FidelityPolicy,
-                       escalation_rate, merge_fidelity_stats)
+from .fidelity import FIDELITY_STAT_KEYS, FidelityPolicy, escalation_rate
 from .separation import SeparationResult, separate_two_way
 from .viterbi import ViterbiDecoder, edge_states_to_bits, bits_to_edge_states
 from .anchor import resolve_polarity, assemble_bits
@@ -54,7 +53,6 @@ __all__ = [
     "FIDELITY_STAT_KEYS",
     "FidelityPolicy",
     "escalation_rate",
-    "merge_fidelity_stats",
     "SeparationResult",
     "separate_two_way",
     "ViterbiDecoder",

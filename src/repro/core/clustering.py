@@ -20,6 +20,21 @@ from ..utils.rng import SeedLike, make_rng
 from .fidelity import FidelityPolicy
 from .kernels import KERNELS
 
+#: Adaptive cluster-count selection runs on at most this many
+#: differentials (see :func:`select_cluster_count`).
+SUBSAMPLE_CAP = 384
+#: Seed of the deterministic subsample draw (independent of the
+#: decoder RNG so the drawn subset is reproducible run to run).
+SUBSAMPLE_SEED = 24601
+#: Escalate to a full-set refit when the inertia-improvement ratio
+#: lands within this factor of the acceptance threshold (compared in
+#: log space).
+CONFIDENCE_GAP = 2.0
+#: Warm (single-restart) k-means switches to the Hamerly bound-based
+#: Lloyd iteration at or above this point count; below it the batched
+#: brute-force iteration is faster.
+BOUNDED_MIN_POINTS = 1024
+
 
 @dataclass
 class KMeansResult:
@@ -83,7 +98,8 @@ def kmeans(points: np.ndarray, k: int, rng: SeedLike = None,
            n_init: int = 4, max_iter: int = 100,
            tol: float = 1e-10,
            init_centroids: Optional[np.ndarray] = None,
-           bounded_min_points: int = 1024) -> KMeansResult:
+           bounded_min_points: int = BOUNDED_MIN_POINTS
+           ) -> KMeansResult:
     """Lloyd's algorithm on complex points with k-means++ restarts.
 
     ``init_centroids``, when given, is a length-``k`` complex array of
@@ -232,7 +248,7 @@ def select_cluster_count(points: np.ndarray,
     ks (each smaller k seeds from a prefix of the largest candidate's
     seeds), model selection runs on a capped deterministic subsample,
     and the full point set is refitted only when the inertia-ratio
-    verdict lands inside the policy's confidence gap.  ``stats``
+    verdict lands inside :data:`CONFIDENCE_GAP`.  ``stats``
     accumulates the escalation counters.  A ``force_full`` (or absent)
     policy runs the legacy sweep, consuming the identical RNG stream.
     """
@@ -253,7 +269,7 @@ def select_cluster_count(points: np.ndarray,
     if policy is not None and policy.active and len(feasible) > 1:
         return _select_adaptive(pts, feasible, gen, n_init,
                                 improvement_factor, hints, fits_out,
-                                policy, stats)
+                                stats)
 
     def _fit(k: int) -> KMeansResult:
         result = kmeans(pts, k, rng=gen, n_init=n_init,
@@ -276,7 +292,6 @@ def _select_adaptive(pts: np.ndarray, feasible: List[int],
                      improvement_factor: float,
                      hints: Dict[int, np.ndarray],
                      fits_out: Optional[Dict[int, KMeansResult]],
-                     policy: FidelityPolicy,
                      stats: Optional[Dict[str, int]]
                      ) -> KMeansResult:
     """Subsampled, shared-seeded candidate-k sweep with escalation.
@@ -285,20 +300,21 @@ def _select_adaptive(pts: np.ndarray, feasible: List[int],
     smaller candidate reuses a prefix of those seeds (a k-means++
     prefix is itself a valid k-means++ draw, since seeding is greedy
     and incremental), so the sweep pays one seeding fan-out instead of
-    one per candidate.  When the point set exceeds the policy's
-    subsample cap, the sweep runs on a deterministic seeded subsample
-    and the inertia-ratio verdict is trusted only when its log-margin
-    from the acceptance threshold exceeds ``log(confidence_gap)``;
+    one per candidate.  When the point set exceeds
+    :data:`SUBSAMPLE_CAP`, the sweep runs on a deterministic seeded
+    subsample and the inertia-ratio verdict is trusted only when its
+    log-margin from the acceptance threshold exceeds
+    ``log(CONFIDENCE_GAP)``;
     otherwise the legacy full-set sweep runs.  A trusted subsample
     verdict still refits the chosen k on the full set (warm-started
     from the subsample centroids) so the returned labels cover every
     point.
     """
-    cap = policy.subsample_cap
-    subsampled = bool(cap) and pts.size > cap
+    subsampled = pts.size > SUBSAMPLE_CAP
     if subsampled:
-        draw = np.random.default_rng(policy.subsample_seed)
-        sub_idx = draw.choice(pts.size, size=cap, replace=False)
+        draw = np.random.default_rng(SUBSAMPLE_SEED)
+        sub_idx = draw.choice(pts.size, size=SUBSAMPLE_CAP,
+                              replace=False)
         sub_idx.sort()
         sub = pts[sub_idx]
         feasible = [k for k in feasible if k <= sub.size]
@@ -326,7 +342,7 @@ def _select_adaptive(pts: np.ndarray, feasible: List[int],
     fits = {k: _fit_sub(k) for k in feasible}
     best_k = feasible[0]
     confident = True
-    log_gap = math.log(policy.confidence_gap)
+    log_gap = math.log(CONFIDENCE_GAP)
     for k in feasible[1:]:
         floor = max(fits[k].inertia, 1e-300)
         ratio = max(fits[best_k].inertia, 1e-300) / floor
@@ -363,7 +379,7 @@ def _select_adaptive(pts: np.ndarray, feasible: List[int],
             stats["subsample_fast"] = stats.get("subsample_fast", 0) + 1
         # The verdict is trusted; the chosen k still needs full-set
         # labels, so refit warm from the subsample centroids.
-        if pts.size >= policy.bounded_min_points and best_k > 1:
+        if pts.size >= BOUNDED_MIN_POINTS and best_k > 1:
             best = kmeans_bounded(pts, best_k, fits[best_k].centroids,
                                   stats=stats)
         else:

@@ -25,6 +25,11 @@ from ..utils.rng import SeedLike
 from .clustering import KMeansResult, kmeans, select_cluster_count
 from .fidelity import FidelityPolicy
 
+#: Relaxed pre-gate margin used when session warm state already vouches
+#: for the stream (a matched single-tag tracker): warm evidence buys a
+#: wider fast-path band than ``FidelityPolicy.pregate_margin``.
+PREGATE_MARGIN_WARM = 0.75
+
 
 @dataclass
 class CollisionReport:
@@ -126,7 +131,7 @@ def detect_collision(differentials: np.ndarray,
     ``pregate_margin`` times the threshold is a guaranteed single tag
     and skips the sweep.  ``warm=True`` (a session tracker already
     vouches for the stream as a known single tag) widens the fast band
-    to ``pregate_margin_warm``.  Planarity in the low-confidence band
+    to :data:`PREGATE_MARGIN_WARM`.  Planarity in the low-confidence band
     escalates to the full detector, so the fast path can never flip a
     verdict.  ``stats`` accumulates the gate counters.
 
@@ -143,14 +148,12 @@ def detect_collision(differentials: np.ndarray,
         raise ConfigurationError(
             "planarity threshold must be in [0, 1)")
 
-    adaptive = policy is not None and policy.active
-    if adaptive and policy.pregate:
+    if policy is not None and policy.active:
         planarity = scatter_planarity(pts)
         threshold = effective_planarity_threshold(
             pts, planarity_threshold=planarity_threshold,
             noise_scale=noise_scale)
-        margin = (policy.pregate_margin_warm if warm
-                  else policy.pregate_margin)
+        margin = PREGATE_MARGIN_WARM if warm else policy.pregate_margin
         if planarity <= margin * threshold:
             if stats is not None:
                 stats["pregate_fast"] = stats.get("pregate_fast", 0) + 1
@@ -163,9 +166,7 @@ def detect_collision(differentials: np.ndarray,
                 k3 = min(3, pts.size)
                 fit = kmeans(pts, k3, rng=rng, n_init=1,
                              init_centroids=(centroid_hints
-                                             or {}).get(k3),
-                             bounded_min_points=(
-                                 policy.bounded_min_points))
+                                             or {}).get(k3))
                 fits_out[k3] = fit
             return CollisionReport(
                 is_collision=False,

@@ -22,41 +22,39 @@ from ..utils.dsp import find_peaks_above
 from .kernels import KERNELS
 
 
+#: Samples averaged on each side of a candidate edge for the coarse
+#: detection sweep.
+DIFF_WINDOW = 4
+#: Scales the median differential magnitude into a detection threshold
+#: — edges are sparse, so the median tracks the noise floor.
+THRESHOLD_FACTOR = 5.0
+#: The threshold never drops below this fraction of the strongest
+#: differential.
+RELATIVE_FLOOR = 0.05
+#: Duplicate detections of one transition closer than this (samples)
+#: merge (see :func:`_merge_similar`).
+MERGE_RADIUS = constants.EDGE_WIDTH_SAMPLES + 1
+
+
 @dataclass(frozen=True)
 class EdgeDetectorConfig:
     """Tuning of the edge detector.
 
-    ``diff_window`` is the number of samples averaged on each side of a
-    candidate edge for the coarse detection sweep; ``guard`` excludes
-    the transition itself (about one edge width).  ``threshold_factor``
-    scales the median differential magnitude into a detection threshold
-    — edges are sparse, so the median tracks the noise floor.
+    ``guard`` excludes the transition itself (about one edge width);
+    ``min_separation`` is the closest two detected edges may sit.
     ``max_refine_window`` caps the window used when re-estimating each
     edge's differential bounded by its neighbouring edges.
     """
 
-    diff_window: int = 4
     guard: int = constants.EDGE_WIDTH_SAMPLES
-    threshold_factor: float = 5.0
-    min_threshold: float = 0.0
-    relative_floor: float = 0.05
     min_separation: int = constants.EDGE_WIDTH_SAMPLES
-    merge_radius: int = constants.EDGE_WIDTH_SAMPLES + 1
     max_refine_window: int = 40
 
     def __post_init__(self) -> None:
-        if self.diff_window < 1:
-            raise ConfigurationError("diff_window must be >= 1")
         if self.guard < 0:
             raise ConfigurationError("guard must be >= 0")
-        if self.threshold_factor <= 0:
-            raise ConfigurationError("threshold_factor must be positive")
         if self.min_separation < 1:
             raise ConfigurationError("min_separation must be >= 1")
-        if not 0 <= self.relative_floor < 1:
-            raise ConfigurationError("relative_floor must be in [0, 1)")
-        if self.merge_radius < 0:
-            raise ConfigurationError("merge_radius must be >= 0")
         if self.max_refine_window < 1:
             raise ConfigurationError("max_refine_window must be >= 1")
 
@@ -129,7 +127,7 @@ class EdgeDetector:
         cfg = self.config
         s = trace.samples
         n = s.size
-        w, g = cfg.diff_window, max(cfg.guard // 2, 1)
+        w, g = DIFF_WINDOW, max(cfg.guard // 2, 1)
         if n < 2 * (w + g) + 1:
             raise SignalError(
                 f"trace of {n} samples is too short for edge detection "
@@ -165,19 +163,18 @@ class EdgeDetector:
         magnitude = self.differential_magnitude(trace).copy()
         # The first/last few samples only have clipped averaging
         # windows; their differentials are artefacts, not edges.
-        margin = cfg.diff_window + max(cfg.guard, 1)
+        margin = DIFF_WINDOW + max(cfg.guard, 1)
         magnitude[:margin] = 0.0
         magnitude[-margin:] = 0.0
-        threshold = max(float(np.median(magnitude)) * cfg.threshold_factor,
-                        cfg.min_threshold,
-                        cfg.relative_floor * float(np.max(magnitude)))
+        threshold = max(float(np.median(magnitude)) * THRESHOLD_FACTOR,
+                        RELATIVE_FLOOR * float(np.max(magnitude)))
         positions = find_peaks_above(magnitude, threshold,
                                      cfg.min_separation)
         if positions.size == 0:
             return []
         differentials = self.refine_differentials(trace, positions)
         positions, differentials = _merge_similar(
-            positions, differentials, magnitude, cfg.merge_radius)
+            positions, differentials, magnitude, MERGE_RADIUS)
         return [DetectedEdge(position=int(pos), differential=complex(diff))
                 for pos, diff in zip(positions, differentials)]
 

@@ -86,7 +86,8 @@ except ImportError:  # pragma: no cover - always present on CPython 3.8+
 #: Per-process decoder config, installed by the pool initializer.
 _WORKER_CONFIG: Optional[LFDecoderConfig] = None
 
-#: Worker kills (crash or hang) after which a task is quarantined.
+#: Worker kills (crash or hang) after which a task is quarantined.  The
+#: service's process executor fails a frame after as many strikes.
 _CRASH_STRIKES = 2
 
 

@@ -33,7 +33,7 @@ flat-channel waveform without any training sequence:
 The whole procedure is deterministic in the input samples (no RNG)
 and conservative by construction: a flat-channel capture estimates
 taps only at lags 1–2 (the intrinsic edge transition shape, present
-with or without multipath), which the ``min_echo_lag`` guard
+with or without multipath), which the ``MIN_ECHO_LAG`` guard
 classifies as flat — the samples pass through untouched.  The stage
 that wraps this module is additionally off by default.
 """
@@ -51,80 +51,60 @@ __all__ = ["EqualizerConfig", "EqualizerReport", "estimate_channel",
            "equalize"]
 
 
+#: Longest channel impulse response the estimator models, in samples.
+#: Longer delay spreads alias into the next edge window and go
+#: uncorrected.
+MAX_TAPS = 192
+#: Fewest differential peaks needed before an estimate is trusted;
+#: below this the stage passes the capture through.
+MIN_PEAKS = 10
+#: Most peaks averaged (strongest first).  The per-lag median gets more
+#: robust with every extra anchor, so this is set high and effectively
+#: bounded by the capture's edge count.
+MAX_PEAKS = 256
+#: A candidate peak must exceed this multiple of the median
+#: |differential| (the noise floor) to count as an edge.  Edge steps at
+#: the weakest modelled coefficients (~0.05) sit only a few multiples
+#: above the differential noise floor, so this stays low and the
+#: per-lag median absorbs the false anchors it admits.
+PEAK_THRESHOLD = 3.0
+#: A candidate must also exceed this fraction of the strongest
+#: differentials (the 99.9th percentile) — keeps anchors meaningful on
+#: captures whose noise floor is far below the edges.
+STRONG_FRACTION = 0.25
+#: An anchor must be the local |differential| maximum over this many
+#: samples either side (rejects an echo masquerading as the direct tap
+#: of its own edge).
+PEAK_GUARD = 8
+#: Taps of the initial median estimate below this fraction of the
+#: direct tap are zeroed before refinement.
+MIN_TAP_RATIO = 0.1
+#: Alternating least-squares refinement rounds.
+REFINE_ITERATIONS = 2
+#: Taps of the refined estimate below this fraction of the direct tap
+#: are zeroed.
+REFINE_TRIM = 0.08
+#: Ridge regularization of the restricted normal equations, relative to
+#: the largest diagonal entry.
+RIDGE = 1e-3
+#: Estimated taps below this lag are the intrinsic edge transition
+#: shape, not echoes; an estimate with no tap at or beyond this lag
+#: reads as a flat channel and is not applied.
+MIN_ECHO_LAG = 4
+
+
 @dataclass(frozen=True)
 class EqualizerConfig:
     """Tuning of the blind estimate / inverse-filter pre-stage."""
 
-    #: Longest channel impulse response the estimator models, in
-    #: samples.  Longer delay spreads alias into the next edge window
-    #: and go uncorrected.
-    max_taps: int = 192
-    #: Fewest differential peaks needed before an estimate is trusted;
-    #: below this the stage passes the capture through.
-    min_peaks: int = 10
-    #: Most peaks averaged (strongest first).  The per-lag median gets
-    #: more robust with every extra anchor, so this is set high and
-    #: effectively bounded by the capture's edge count.
-    max_peaks: int = 256
-    #: A candidate peak must exceed this multiple of the median
-    #: |differential| (the noise floor) to count as an edge.  Edge
-    #: steps at the weakest modelled coefficients (~0.05) sit only a
-    #: few multiples above the differential noise floor, so this stays
-    #: low and the per-lag median absorbs the false anchors it admits.
-    peak_threshold: float = 3.0
-    #: A candidate must also exceed this fraction of the strongest
-    #: differentials (the 99.9th percentile) — keeps anchors meaningful
-    #: on captures whose noise floor is far below the edges.
-    strong_fraction: float = 0.25
-    #: An anchor must be the local |differential| maximum over this
-    #: many samples either side (rejects an echo masquerading as the
-    #: direct tap of its own edge).
-    peak_guard: int = 8
-    #: Taps of the initial median estimate below this fraction of the
-    #: direct tap are zeroed before refinement.
-    min_tap_ratio: float = 0.1
-    #: Alternating least-squares refinement rounds (0 disables
-    #: refinement and uses the raw median estimate).
-    refine_iterations: int = 2
-    #: Taps of the refined estimate below this fraction of the direct
-    #: tap are zeroed.
-    refine_trim: float = 0.08
-    #: Ridge regularization of the restricted normal equations,
-    #: relative to the largest diagonal entry.
-    ridge: float = 1e-3
     #: Wiener regularization λ in ``conj(H) / (|H|² + λ)`` — trades
     #: residual echo against noise amplification.
     noise_regularization: float = 0.02
-    #: Estimated taps below this lag are the intrinsic edge transition
-    #: shape, not echoes; an estimate with no tap at or beyond this
-    #: lag reads as a flat channel and is not applied.
-    min_echo_lag: int = 4
 
     def __post_init__(self) -> None:
-        if self.max_taps < 2:
-            raise ConfigurationError("max_taps must be >= 2")
-        if self.min_peaks < 1:
-            raise ConfigurationError("min_peaks must be >= 1")
-        if self.max_peaks < self.min_peaks:
-            raise ConfigurationError(
-                "max_peaks must be >= min_peaks")
-        if self.peak_threshold <= 1.0:
-            raise ConfigurationError(
-                "peak_threshold must exceed 1.0")
-        if not 0.0 <= self.strong_fraction < 1.0:
-            raise ConfigurationError(
-                "strong_fraction must be in [0, 1)")
-        if not 0.0 < self.min_tap_ratio < 1.0:
-            raise ConfigurationError(
-                "min_tap_ratio must be in (0, 1)")
-        if self.refine_iterations < 0:
-            raise ConfigurationError(
-                "refine_iterations must be >= 0")
         if self.noise_regularization <= 0:
             raise ConfigurationError(
                 "noise_regularization must be positive")
-        if self.min_echo_lag < 1:
-            raise ConfigurationError("min_echo_lag must be >= 1")
 
 
 @dataclass
@@ -180,12 +160,10 @@ def _edge_peaks(magnitude: np.ndarray, window: int, guard: int,
     return taken
 
 
-def _differential_threshold(magnitude: np.ndarray,
-                            cfg: EqualizerConfig) -> float:
+def _differential_threshold(magnitude: np.ndarray) -> float:
     floor = float(np.median(magnitude))
     strong = float(np.quantile(magnitude, 0.999))
-    return max(cfg.peak_threshold * floor,
-               cfg.strong_fraction * strong, 1e-30)
+    return max(PEAK_THRESHOLD * floor, STRONG_FRACTION * strong, 1e-30)
 
 
 def _trim(h: np.ndarray, ratio: float) -> np.ndarray:
@@ -252,10 +230,10 @@ def _refine_taps(d: np.ndarray, initial: np.ndarray, x: np.ndarray,
     h = initial
     n = 1 << int(np.ceil(np.log2(2 * d.size)))
     spectrum_d = np.fft.fft(d, n)
-    for _ in range(cfg.refine_iterations):
+    for _ in range(REFINE_ITERATIONS):
         cleaned = _wiener_deconvolve(x, h, cfg.noise_regularization)
         train = _edge_train(cleaned)
-        if np.count_nonzero(train) < cfg.min_peaks:
+        if np.count_nonzero(train) < MIN_PEAKS:
             break
         spectrum_a = np.fft.fft(train, n)
         autocorr = np.fft.ifft(np.conj(spectrum_a) * spectrum_a)
@@ -266,8 +244,7 @@ def _refine_taps(d: np.ndarray, initial: np.ndarray, x: np.ndarray,
             for j, sj in enumerate(support):
                 gram[i, j] = autocorr[(sj - si) % n]
         rhs = np.array([crosscorr[s % n] for s in support])
-        gram += cfg.ridge * float(np.abs(np.diag(gram)).max()) \
-            * np.eye(k)
+        gram += RIDGE * float(np.abs(np.diag(gram)).max()) * np.eye(k)
         try:
             taps = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError:
@@ -278,7 +255,7 @@ def _refine_taps(d: np.ndarray, initial: np.ndarray, x: np.ndarray,
         if abs(refined[0]) < 1e-12:
             break
         h = refined / refined[0]
-    return _trim(h, cfg.refine_trim)
+    return _trim(h, REFINE_TRIM)
 
 
 def estimate_channel(samples: np.ndarray,
@@ -293,7 +270,7 @@ def estimate_channel(samples: np.ndarray,
     cfg = config or EqualizerConfig()
     report = EqualizerReport()
     x = np.asarray(samples, dtype=np.complex128)
-    if x.size < 4 * cfg.max_taps:
+    if x.size < 4 * MAX_TAPS:
         report.reason = "too_few_peaks"
         return report
     if not np.all(np.isfinite(x.real)) or \
@@ -302,22 +279,22 @@ def estimate_channel(samples: np.ndarray,
         return report
     d = np.diff(x)
     magnitude = np.abs(d)
-    threshold = _differential_threshold(magnitude, cfg)
-    peaks = _edge_peaks(magnitude, cfg.max_taps, cfg.peak_guard,
-                        threshold, cfg.max_peaks)
+    threshold = _differential_threshold(magnitude)
+    peaks = _edge_peaks(magnitude, MAX_TAPS, PEAK_GUARD, threshold,
+                        MAX_PEAKS)
     report.n_peaks_used = len(peaks)
-    if len(peaks) < cfg.min_peaks:
+    if len(peaks) < MIN_PEAKS:
         report.reason = "too_few_peaks"
         return report
     # Each peak's trailing window is a scaled copy of h; normalizing
     # by the lag-0 value and taking a per-lag median keeps the
     # estimate robust to windows contaminated by a nearby edge.
-    windows = np.stack([d[p:p + cfg.max_taps] / d[p] for p in peaks])
+    windows = np.stack([d[p:p + MAX_TAPS] / d[p] for p in peaks])
     initial = np.median(windows.real, axis=0) \
         + 1j * np.median(windows.imag, axis=0)
     initial[0] = 1.0
-    initial = _trim(initial, cfg.min_tap_ratio)
-    if initial.size > 1 and cfg.refine_iterations > 0:
+    initial = _trim(initial, MIN_TAP_RATIO)
+    if initial.size > 1:
         estimate = _refine_taps(d, initial, x, cfg)
     else:
         estimate = initial
@@ -326,8 +303,8 @@ def estimate_channel(samples: np.ndarray,
     report.delay_spread_samples = int(nonzero[-1])
     report.echo_energy = float(np.sum(np.abs(estimate[1:]) ** 2))
     report.impulse_response = estimate
-    if not np.any(nonzero >= cfg.min_echo_lag):
-        # Taps below min_echo_lag are the intrinsic edge transition
+    if not np.any(nonzero >= MIN_ECHO_LAG):
+        # Taps below MIN_ECHO_LAG are the intrinsic edge transition
         # shape — present on a flat channel too.  Nothing to undo.
         report.reason = "flat"
     return report

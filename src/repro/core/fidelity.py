@@ -36,6 +36,10 @@ counter pair per gate) that lands on
 trade stays observable: a fast path that silently stopped firing shows
 up as an escalation-rate regression, not as an unexplained slowdown.
 
+Each gate's fixed thresholds are module constants beside the stage
+that reads them; the policy keeps only the one off switch and the two
+margins :mod:`repro.analysis.autotune` tunes.
+
 ``FidelityPolicy.full()`` (``force_full=True``) disables every fast
 path and reproduces the full-fidelity decoder bit-for-bit — the same
 code paths run, consuming the same RNG stream.
@@ -81,77 +85,24 @@ class FidelityPolicy:
     #: exact RNG stream of the pre-policy decoder.
     force_full: bool = False
 
-    # -- collision-detection pre-gate -------------------------------------
-    pregate: bool = True
-    #: The fast path fires only when planarity is below this fraction
-    #: of the effective collision threshold; the [margin, 1.0) band is
-    #: low-confidence and escalates to the full detector.
+    #: Collision-detection pre-gate: the fast path fires only when
+    #: planarity is below this fraction of the effective collision
+    #: threshold; the [margin, 1.0) band is low-confidence and escalates
+    #: to the full detector.
     pregate_margin: float = 0.5
-    #: Relaxed margin used when session warm state already vouches for
-    #: the stream (a matched single-tag tracker): warm evidence buys a
-    #: wider fast-path band.
-    pregate_margin_warm: float = 0.75
 
-    # -- subsampled cluster-count selection -------------------------------
-    #: Model selection runs on at most this many differentials; 0
-    #: disables subsampling (but keeps the shared seeding).
-    subsample_cap: int = 384
-    #: Seed of the deterministic subsample draw (independent of the
-    #: decoder RNG so the drawn subset is reproducible run to run).
-    subsample_seed: int = 24601
-    #: Escalate to a full-set refit when the inertia-improvement ratio
-    #: lands within this factor of the acceptance threshold (compared
-    #: in log space); must be > 1.
-    confidence_gap: float = 2.0
-
-    # -- multilevel projection dispersion gate ----------------------------
-    dispersion_gate: bool = True
-    #: A projected observation farther than this from every ideal level
-    #: in {-1, 0, +1} counts as off-lattice.
-    dispersion_eps: float = 0.2
-    #: Skip the multilevel k-means check when the off-lattice fraction
-    #: is at or below this; anything above escalates.
-    dispersion_fraction: float = 0.02
-
-    # -- banded Viterbi ---------------------------------------------------
-    banded_viterbi: bool = True
-    #: Extra width (observation units) added to the provably-safe
-    #: emission decision band; observations inside the widened band
-    #: force the exact trellis recursion.
+    #: Banded Viterbi: extra width (observation units) added to the
+    #: provably-safe emission decision band; observations inside the
+    #: widened band force the exact trellis recursion.
     viterbi_band_margin: float = 1e-9
-
-    # -- bound-based Lloyd ------------------------------------------------
-    #: Warm (single-restart) k-means switches to the Hamerly
-    #: bound-based Lloyd iteration at or above this point count; below
-    #: it the batched brute-force iteration is faster.
-    bounded_min_points: int = 1024
 
     def __post_init__(self) -> None:
         if not 0.0 < self.pregate_margin < 1.0:
             raise ConfigurationError(
                 "pregate_margin must be in (0, 1)")
-        if not 0.0 < self.pregate_margin_warm < 1.0:
-            raise ConfigurationError(
-                "pregate_margin_warm must be in (0, 1)")
-        if self.subsample_cap < 0:
-            raise ConfigurationError("subsample_cap must be >= 0")
-        if 0 < self.subsample_cap < 32:
-            raise ConfigurationError(
-                "subsample_cap below 32 cannot support the 9-cluster "
-                "candidate")
-        if self.confidence_gap <= 1.0:
-            raise ConfigurationError("confidence_gap must be > 1")
-        if self.dispersion_eps <= 0:
-            raise ConfigurationError("dispersion_eps must be positive")
-        if not 0.0 <= self.dispersion_fraction < 1.0:
-            raise ConfigurationError(
-                "dispersion_fraction must be in [0, 1)")
         if self.viterbi_band_margin < 0:
             raise ConfigurationError(
                 "viterbi_band_margin must be >= 0")
-        if self.bounded_min_points < 2:
-            raise ConfigurationError(
-                "bounded_min_points must be >= 2")
 
     @property
     def active(self) -> bool:
@@ -166,18 +117,6 @@ class FidelityPolicy:
     def new_stats(self) -> Dict[str, int]:
         """A zeroed per-epoch counter dict (one entry per stat key)."""
         return {key: 0 for key in FIDELITY_STAT_KEYS}
-
-
-def merge_fidelity_stats(into: Dict[str, int],
-                         update: Mapping[str, int]) -> Dict[str, int]:
-    """Accumulate one fidelity counter dict into another.
-
-    Thin compatibility alias over the one counter-merge implementation
-    in :mod:`repro.core.stages.stats` (imported lazily: the stage
-    package sits above this module in the import graph).
-    """
-    from .stages.stats import StatsAccumulator
-    return StatsAccumulator.merge_counts(into, update)
 
 
 def escalation_rate(stats: Mapping[str, int]) -> float:

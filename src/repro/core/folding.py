@@ -27,42 +27,35 @@ from ..errors import ConfigurationError
 from ..types import DetectedEdge, StreamHypothesis
 
 
+#: Fold-histogram resolution, about one edge width.
+BIN_WIDTH_SAMPLES = float(constants.EDGE_WIDTH_SAMPLES)
+#: Fewest folded edges that make a stream.
+MIN_EDGES = 5
+#: How far an edge may sit from the stream grid and still be claimed
+#: (covers residual drift between consecutive edges plus edge-position
+#: quantization).
+MATCH_TOLERANCE_SAMPLES = constants.EDGE_WIDTH_SAMPLES + 1.0
+#: Half-width, in bins, of the circular window a fold peak is summed
+#: over.
+PEAK_SPAN_BINS = 1
+#: Drift corrections tried per candidate period.  The phase walk of a
+#: tag's constant ppm error is period * ppm per bit — several samples
+#: per bit at slow rates — so the fold searches a small grid of
+#: corrected periods and keeps the sharpest peak.
+MAX_DRIFT_PPM = 250.0
+N_DRIFT_STEPS = 11
+
+
 @dataclass(frozen=True)
 class FoldingConfig:
-    """Tuning of the stream search.
+    """Tuning of the stream search."""
 
-    ``bin_width_samples`` is the fold-histogram resolution (about one
-    edge width); ``min_edges`` the minimum number of folded edges to
-    accept a stream; ``match_tolerance_samples`` how far an edge may sit
-    from the stream grid and still be claimed (covers residual drift
-    between consecutive edges plus edge-position quantization).
-    """
-
-    bin_width_samples: float = float(constants.EDGE_WIDTH_SAMPLES)
-    min_edges: int = 5
-    match_tolerance_samples: float = constants.EDGE_WIDTH_SAMPLES + 1.0
-    require_consecutive: bool = True
-    peak_span_bins: int = 1
     #: Fold only edges from the first N bit periods when seeding a
     #: stream's phase: over long traces a tag's ppm clock drift walks
     #: its phase across many samples, smearing a whole-trace fold into
     #: uselessness, while the progressive tracker has no trouble
     #: following the drift once seeded near the stream's start.
     fold_window_periods: float = 80.0
-    #: Drift corrections tried per candidate period.  The phase walk of
-    #: a tag's constant ppm error is period * ppm per bit — several
-    #: samples per bit at slow rates — so the fold searches a small
-    #: grid of corrected periods and keeps the sharpest peak.
-    max_drift_ppm: float = 250.0
-    n_drift_steps: int = 11
-
-    def __post_init__(self) -> None:
-        if self.bin_width_samples <= 0:
-            raise ConfigurationError("bin width must be positive")
-        if self.min_edges < 2:
-            raise ConfigurationError("min_edges must be >= 2")
-        if self.match_tolerance_samples <= 0:
-            raise ConfigurationError("match tolerance must be positive")
 
 
 def fold_histogram(positions: np.ndarray, period: float,
@@ -194,11 +187,10 @@ def _sweep_rate(positions: np.ndarray, available: np.ndarray,
     visible_bits = min(cfg.fold_window_periods,
                        (positions.max() / period + 1.0)
                        if positions.size else 1.0)
-    walk = period * cfg.max_drift_ppm * 1e-6 * visible_bits
-    if walk > 3.0 * cfg.bin_width_samples:
-        drifts = np.linspace(-cfg.max_drift_ppm,
-                             cfg.max_drift_ppm,
-                             cfg.n_drift_steps) * 1e-6
+    walk = period * MAX_DRIFT_PPM * 1e-6 * visible_bits
+    if walk > 3.0 * BIN_WIDTH_SAMPLES:
+        drifts = np.linspace(-MAX_DRIFT_PPM, MAX_DRIFT_PPM,
+                             N_DRIFT_STEPS) * 1e-6
         drifts = drifts[np.argsort(np.abs(drifts),
                                    kind="stable")]
     else:
@@ -206,7 +198,7 @@ def _sweep_rate(positions: np.ndarray, available: np.ndarray,
     while True:
         live = np.flatnonzero(available
                               & (positions < window_end))
-        if live.size < cfg.min_edges:
+        if live.size < MIN_EDGES:
             break
         # Search a drift grid: the corrected period whose fold
         # peaks sharpest seeds both the phase and the initial
@@ -215,22 +207,19 @@ def _sweep_rate(positions: np.ndarray, available: np.ndarray,
         for drift in drifts:
             p_corr = period * (1.0 + drift)
             counts, bin_width = fold_histogram(
-                positions[live], p_corr, cfg.bin_width_samples)
+                positions[live], p_corr, BIN_WIDTH_SAMPLES)
             peak = int(counts.max())
             if best_fold is None or peak > best_fold[0]:
                 best_fold = (peak, counts, bin_width, p_corr)
         _, counts, bin_width, p_corr = best_fold
         accepted_any = False
         for offset in _circular_peak_offsets(counts, bin_width,
-                                             cfg.min_edges,
-                                             cfg.peak_span_bins):
-            core, extras = _match_edges(
-                positions, available, offset, p_corr,
-                cfg.match_tolerance_samples)
-            if core.size < cfg.min_edges:
+                                             MIN_EDGES, PEAK_SPAN_BINS):
+            core, extras = _match_edges(positions, available, offset,
+                                        p_corr, MATCH_TOLERANCE_SAMPLES)
+            if core.size < MIN_EDGES:
                 continue
-            if cfg.require_consecutive and not _has_consecutive(
-                    positions[core], offset, p_corr):
+            if not _has_consecutive(positions[core], offset, p_corr):
                 continue
             available[core] = False
             available[extras] = False
@@ -300,7 +289,7 @@ def find_stream_hypotheses_warm(
     # skew the most); anything farther is a stale tracker of a junk
     # stream, and folding at its period would mis-claim real streams'
     # edges into fresh junk.
-    period_slack = max(3e-6 * cfg.max_drift_ppm, 5e-4)
+    period_slack = max(3e-6 * MAX_DRIFT_PPM, 5e-4)
     by_rate: Dict[float, List[int]] = {rate: [] for rate in rates}
     for hint_idx, (period, _phase) in enumerate(warm_hints):
         if period <= 0:
@@ -318,24 +307,23 @@ def find_stream_hypotheses_warm(
             period = warm_hints[hint_idx][0]
             window_end = cfg.fold_window_periods * period
             live = np.flatnonzero(available & (positions < window_end))
-            if live.size < cfg.min_edges:
+            if live.size < MIN_EDGES:
                 # Claiming only shrinks the live set; no later hint at
                 # this rate can see more edges.
                 n_misses += 1
                 break
             counts, bin_width = fold_histogram(positions[live], period,
-                                               cfg.bin_width_samples)
+                                               BIN_WIDTH_SAMPLES)
             hit = False
             for offset in _circular_peak_offsets(counts, bin_width,
-                                                 cfg.min_edges,
-                                                 cfg.peak_span_bins):
+                                                 MIN_EDGES, PEAK_SPAN_BINS):
                 core, extras = _match_edges(
                     positions, available, offset, period,
-                    cfg.match_tolerance_samples)
-                if core.size < cfg.min_edges:
+                    MATCH_TOLERANCE_SAMPLES)
+                if core.size < MIN_EDGES:
                     continue
-                if cfg.require_consecutive and not _has_consecutive(
-                        positions[core], offset, period):
+                if not _has_consecutive(positions[core], offset,
+                                        period):
                     continue
                 available[core] = False
                 available[extras] = False

@@ -33,31 +33,18 @@ from ..errors import ConfigurationError
 from ..robustness.guard import GuardConfig
 from ..types import EpochResult, IQTrace, SimulationProfile
 from ..utils.rng import SeedLike, make_rng
-from .edges import EdgeDetector, EdgeDetectorConfig
+from .edges import EdgeDetector
 from .equalizer import EqualizerConfig
 from .fidelity import FidelityPolicy
-from .folding import FoldingConfig
 from .kernels import resolve_backend
 from .stages import (DecodeContext, StageObserver, StageRunner,
                      StatsAccumulator, default_epoch_stages,
                      default_stream_stages)
-from .stages.anchor import dedup_streams
-from .stages.context import Stage, stream_fault
-from .stages.projection import (hold_cluster_noise, looks_multilevel,
-                                project_single, project_single_scaled)
+from .stages.context import Stage
 from .viterbi import ViterbiDecoder
 
 if TYPE_CHECKING:  # typing only — session imports stay lazy
     from .session import SessionState
-
-# Former private homes of the projection / dedup helpers, kept as
-# aliases for callers that imported them before the stage extraction.
-_project_single = project_single
-_project_single_scaled = project_single_scaled
-_hold_cluster_noise = hold_cluster_noise
-_looks_multilevel = looks_multilevel
-_dedup_streams = dedup_streams
-_stream_fault = stream_fault
 
 
 @dataclass
@@ -73,23 +60,18 @@ class LFDecoderConfig:
         constants.DEFAULT_BITRATE_BPS,)
     profile: SimulationProfile = field(
         default_factory=SimulationProfile.paper)
-    edge_config: Optional[EdgeDetectorConfig] = None
-    folding_config: Optional[FoldingConfig] = None
     enable_iq_separation: bool = True
     enable_error_correction: bool = True
     min_header_score: float = 0.75
-    p_flip: float = 0.5
     collision_guard_extra: int = constants.EDGE_WIDTH_SAMPLES
     #: Differential averaging windows grow with the bit period (longer
     #: bits leave more clean samples either side of an edge, Section
-    #: 5.1 / Table 2), capped to keep dense traces tractable.
+    #: 5.1 / Table 2), capped to keep dense traces tractable (see
+    #: :data:`repro.core.stages.context.REFINE_WINDOW_CAP`).
     refine_window_fraction: float = 0.8
-    refine_window_cap: int = 2000
     #: Fold the analog differential energy when the edge-based search
     #: comes up empty (low-SNR operation, Figure 14's waterfall).
     enable_analog_fallback: bool = True
-    preamble_bits: int = constants.PREAMBLE_BITS
-    anchor_bit: int = constants.ANCHOR_BIT
     #: Run the trace guard (:func:`repro.robustness.guard.sanitize_trace`)
     #: in front of the pipeline: repair impaired captures, reject
     #: unusable ones into an empty-but-honest result instead of letting
@@ -134,12 +116,10 @@ class LFDecoder:
                  observers: Sequence[StageObserver] = ()):
         self.config = config or LFDecoderConfig()
         self._rng = make_rng(rng)
-        self.edge_detector = EdgeDetector(self.config.edge_config)
+        self.edge_detector = EdgeDetector()
         self.fidelity = self.config.fidelity or FidelityPolicy()
         self.viterbi = ViterbiDecoder(
-            p_flip=self.config.p_flip,
-            banded=(self.fidelity.active
-                    and self.fidelity.banded_viterbi),
+            banded=self.fidelity.active,
             band_margin=self.fidelity.viterbi_band_margin)
         self._runner = StageRunner(default_epoch_stages(),
                                    default_stream_stages(),

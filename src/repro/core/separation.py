@@ -38,6 +38,10 @@ LATTICE_COORDS: Tuple[Tuple[int, int], ...] = tuple(
 _LATTICE_A = np.array([a for a, _ in LATTICE_COORDS], dtype=np.float64)
 _LATTICE_B = np.array([b for _, b in LATTICE_COORDS], dtype=np.float64)
 
+#: Accept a cached lattice basis when its match error stays below this
+#: fraction of the centroid scale (else re-derive cold).
+BASIS_TOLERANCE = 0.25
+
 
 @dataclass
 class SeparationResult:
@@ -226,8 +230,7 @@ def separate_two_way(differentials: np.ndarray,
                      rng: SeedLike = None,
                      method: str = "lattice_fit",
                      centroid_hint: Optional[np.ndarray] = None,
-                     basis_hint: Optional[Tuple[complex, complex]] = None,
-                     basis_tolerance: float = 0.25
+                     basis_hint: Optional[Tuple[complex, complex]] = None
                      ) -> SeparationResult:
     """Split a two-way collided stream into per-tag edge observations.
 
@@ -240,7 +243,7 @@ def separate_two_way(differentials: np.ndarray,
     restart fan-out into a single warm Lloyd run, and ``basis_hint`` a
     prior (e1, e2) that is accepted outright — skipping the exhaustive
     pair search — whenever its lattice still explains the fresh
-    centroids to within ``basis_tolerance`` of their scale.  A hint
+    centroids to within :data:`BASIS_TOLERANCE` of their scale.  A hint
     that no longer fits falls back to the cold recovery path, so a
     stale cache degrades to the exact cold behaviour.
     """
@@ -258,7 +261,7 @@ def separate_two_way(differentials: np.ndarray,
         h1, h2 = complex(basis_hint[0]), complex(basis_hint[1])
         hint_err = _match_error(fit.centroids, _lattice_points(h1, h2))
         scale = float(np.max(np.abs(fit.centroids)))
-        if scale > 0 and hint_err <= basis_tolerance * scale:
+        if scale > 0 and hint_err <= BASIS_TOLERANCE * scale:
             e1, e2, err = h1, h2, hint_err
             basis_cached = True
     if e1 is None:

@@ -41,40 +41,36 @@ import numpy as np
 from ..errors import ConfigurationError
 from .clustering import KMeansResult
 from .collision import scatter_planarity
-from .separation import _LATTICE_A, _LATTICE_B
+from .separation import _LATTICE_A, _LATTICE_B, BASIS_TOLERANCE
 # Canonical home of the counter keys and the merge semantics is the
 # stats layer; re-exported here for compatibility.
 from .stages.stats import CACHE_STAT_KEYS, StatsAccumulator
 
 
+#: Relative period mismatch under which a tracker may claim a fresh
+#: stream (covers per-epoch estimation noise on top of the tag's fixed
+#: ppm drift).
+PERIOD_TOLERANCE = 1.5e-3
+#: Offset-phase proximity, in samples, that identifies a stream whose
+#: phase is stable (consecutive chunks of one capture).
+PHASE_TOLERANCE_SAMPLES = 8.0
+#: Relative IQ edge-vector distance used when the phase re-randomized
+#: between epochs (the comparator re-fires per carrier-on, Section 3.2)
+#: and only the channel geometry remains as identity.
+GEOMETRY_TOLERANCE = 0.35
+#: A warm k-means fit whose per-point inertia exceeds the cached fit's
+#: by this factor no longer explains the data: redo cold.
+INERTIA_BLOWUP = 4.0
+#: Hard cap on live trackers (stalest evicted first).
+MAX_TRACKERS = 256
+
+
 @dataclass(frozen=True)
 class SessionConfig:
-    """Tuning of cross-epoch stream tracking.
+    """Tuning of cross-epoch stream tracking."""
 
-    ``period_tolerance`` is the relative period mismatch under which a
-    tracker may claim a fresh stream (covers per-epoch estimation noise
-    on top of the tag's fixed ppm drift); ``phase_tolerance_samples``
-    the offset-phase proximity that identifies a stream whose phase is
-    stable (consecutive chunks of one capture); and
-    ``geometry_tolerance`` the relative IQ edge-vector distance used
-    when the phase re-randomized between epochs (the comparator re-fires
-    per carrier-on, Section 3.2) and only the channel geometry remains
-    as identity.
-    """
-
-    period_tolerance: float = 1.5e-3
-    phase_tolerance_samples: float = 8.0
-    geometry_tolerance: float = 0.35
-    #: Accept a cached lattice basis when its match error stays below
-    #: this fraction of the centroid scale (else re-derive cold).
-    basis_tolerance: float = 0.25
-    #: A warm k-means fit whose per-point inertia exceeds the cached
-    #: fit's by this factor no longer explains the data: redo cold.
-    inertia_blowup: float = 4.0
     #: Consecutive unmatched epochs before a tracker is evicted.
     max_misses: int = 2
-    #: Hard cap on live trackers (stalest evicted first).
-    max_trackers: int = 256
     #: Warm-fit invalidations (without an intervening warm success)
     #: before a tracker is quarantined back to the cold path.  A cache
     #: entry that keeps failing its own verification is worse than no
@@ -82,20 +78,8 @@ class SessionConfig:
     max_invalidations: int = 3
 
     def __post_init__(self) -> None:
-        if self.period_tolerance <= 0:
-            raise ConfigurationError("period_tolerance must be positive")
-        if self.phase_tolerance_samples <= 0:
-            raise ConfigurationError(
-                "phase_tolerance_samples must be positive")
-        if not 0 < self.geometry_tolerance < 2:
-            raise ConfigurationError(
-                "geometry_tolerance must be in (0, 2)")
-        if self.inertia_blowup <= 1:
-            raise ConfigurationError("inertia_blowup must be > 1")
         if self.max_misses < 1:
             raise ConfigurationError("max_misses must be >= 1")
-        if self.max_trackers < 1:
-            raise ConfigurationError("max_trackers must be >= 1")
         if self.max_invalidations < 1:
             raise ConfigurationError("max_invalidations must be >= 1")
 
@@ -242,9 +226,9 @@ class SessionState:
                 tracker.misses += 1
                 if tracker.misses < self.config.max_misses:
                     survivors.append(tracker)
-        if len(survivors) > self.config.max_trackers:
+        if len(survivors) > MAX_TRACKERS:
             survivors.sort(key=lambda t: (t.misses, -t.last_epoch))
-            survivors = survivors[:self.config.max_trackers]
+            survivors = survivors[:MAX_TRACKERS]
         self.trackers = survivors
         self.epoch_count += 1
         StatsAccumulator.merge_counts(self.totals, cache_stats)
@@ -281,14 +265,13 @@ class SessionState:
               ) -> Optional[StreamTracker]:
         """Find the tracker that explains a fresh stream, if any.
 
-        The period must agree to within ``period_tolerance``
+        The period must agree to within :data:`PERIOD_TOLERANCE`
         (drift-tolerant: the tag's ppm error is already folded into the
         cached period); identity is then confirmed by either a stable
         offset phase (chunked captures) or — since the comparator
         re-randomizes the phase every carrier-on — by the IQ edge
         signature, which only depends on the channel.
         """
-        cfg = self.config
         phase = (offset_samples + self.sample_offset) % period_samples
         sig = edge_signature(differentials)
 
@@ -297,13 +280,13 @@ class SessionState:
                 return None
             rel = abs(tracker.period_samples - period_samples) \
                 / period_samples
-            if rel > cfg.period_tolerance:
+            if rel > PERIOD_TOLERANCE:
                 return None
             if self._phase_identity:
                 gap = abs(phase - tracker.offset_phase)
                 gap = min(gap, period_samples - gap)
-                if gap <= cfg.phase_tolerance_samples:
-                    return gap / cfg.phase_tolerance_samples * 1e-3
+                if gap <= PHASE_TOLERANCE_SAMPLES:
+                    return gap / PHASE_TOLERANCE_SAMPLES * 1e-3
             if tracker.arity >= 2:
                 # A collision tracker's identity is its *pairing*, and
                 # pairings re-randomize with the offsets each epoch:
@@ -313,7 +296,7 @@ class SessionState:
                 # spurious.
                 return None
             dist = _signature_distance(sig, tracker.edge_vector)
-            if dist <= cfg.geometry_tolerance:
+            if dist <= GEOMETRY_TOLERANCE:
                 return dist
             return None
 
@@ -346,9 +329,9 @@ class SessionState:
         vectors, and those are cached in the singles' trackers.  Scores
         every unmatched single-tag pair's 9-point lattice against the
         differentials; a pair that explains them within
-        ``basis_tolerance`` of the edge scale is returned for a fully
-        warm two-way separation.  Collinear scatters (plain singles)
-        are rejected up front.
+        :data:`~repro.core.separation.BASIS_TOLERANCE` of the edge
+        scale is returned for a fully warm two-way separation.
+        Collinear scatters (plain singles) are rejected up front.
         """
         d = np.asarray(differentials, dtype=np.complex128).ravel()
         if d.size < 9 or scatter_planarity(d) < 0.02:
@@ -376,8 +359,7 @@ class SessionState:
         best = int(np.argmin(errors))
         a, b = cands[ii[best]], cands[jj[best]]
         scale = max(abs(a.edge_vector), abs(b.edge_vector))
-        if scale <= 0 or errors[best] > self.config.basis_tolerance \
-                * scale:
+        if scale <= 0 or errors[best] > BASIS_TOLERANCE * scale:
             return None
         return a, b
 
@@ -466,20 +448,19 @@ class SessionState:
         a residual re-detection of an already-decoded stream, not a
         distinct tag that merely shares timing.
         """
-        cfg = self.config
         for tracker in self.trackers:
             if not tracker.matched or tracker.quarantined:
                 continue
             rel = abs(tracker.period_samples - period_samples) \
                 / period_samples
-            if rel > cfg.period_tolerance:
+            if rel > PERIOD_TOLERANCE:
                 continue
             gap = abs(phase - tracker.offset_phase)
             gap = min(gap, period_samples - gap)
-            if gap > cfg.phase_tolerance_samples:
+            if gap > PHASE_TOLERANCE_SAMPLES:
                 continue
             if _signature_distance(sig, tracker.edge_vector) \
-                    <= cfg.geometry_tolerance:
+                    <= GEOMETRY_TOLERANCE:
                 return tracker
         return None
 
@@ -521,6 +502,6 @@ class SessionState:
                 continue
             per_point = fit.inertia / max(fit.labels.size, 1)
             floor = max(cached, 1e-18)
-            if per_point > self.config.inertia_blowup * floor:
+            if per_point > INERTIA_BLOWUP * floor:
                 return True
         return False

@@ -42,8 +42,6 @@ def assemble_stream(ctx: DecodeContext, observations: np.ndarray,
                 observations,
                 use_viterbi=cfg.enable_error_correction,
                 decoder=ctx.viterbi,
-                preamble_bits=cfg.preamble_bits,
-                anchor_bit=cfg.anchor_bit,
                 min_header_score=cfg.min_header_score,
                 flipped_hint=flipped_hint,
                 prescreen=ctx.fidelity.active)

@@ -41,9 +41,9 @@ import numpy as np
 from ...errors import ConfigurationError, DecodeError
 from ...types import (DecodedStream, DetectedEdge, EpochResult,
                       IQTrace, StreamFault, StreamHypothesis)
-from ..clustering import KMeansResult
+from ..clustering import SUBSAMPLE_SEED, KMeansResult
 from ..collision import CollisionReport
-from ..folding import FoldingConfig
+from ..folding import MAX_DRIFT_PPM
 from ..streams import StreamTrack
 from .stats import StatsAccumulator
 
@@ -52,6 +52,11 @@ if TYPE_CHECKING:  # typing only — no runtime import cycle
     from ..fidelity import FidelityPolicy
     from ..session import SessionState, StreamTracker
     from ..viterbi import ViterbiDecoder
+
+#: Cap on the bit-period-scaled differential averaging window
+#: (``LFDecoderConfig.refine_window_fraction``): keeps dense traces
+#: tractable.
+REFINE_WINDOW_CAP = 2000
 
 
 @dataclass
@@ -161,8 +166,7 @@ class DecodeContext:
         claim residue fit exotic periods — caching those would seed
         next epoch's warm fold with self-perpetuating garbage.
         """
-        folding = self.config.folding_config or FoldingConfig()
-        slack = max(3e-6 * folding.max_drift_ppm, 5e-4)
+        slack = max(3e-6 * MAX_DRIFT_PPM, 5e-4)
         return any(abs(period_samples - cand) / cand <= slack
                    for cand in self.candidate_periods())
 
@@ -171,7 +175,7 @@ class DecodeContext:
         cfg = self.config
         base = self.edge_detector.config.max_refine_window
         scaled = int(track.period_samples * cfg.refine_window_fraction)
-        return max(base, min(scaled, cfg.refine_window_cap))
+        return max(base, min(scaled, REFINE_WINDOW_CAP))
 
     def track_rng(self, track: StreamTrack) -> np.random.Generator:
         """Deterministic per-track generator for adaptive decision fits.
@@ -188,7 +192,7 @@ class DecodeContext:
         jitter between warm and cold track estimates.
         """
         return np.random.default_rng(
-            (self.fidelity.subsample_seed,
+            (SUBSAMPLE_SEED,
              int(round(track.period_samples)),
              int(round(track.offset_samples / 16.0))))
 

@@ -35,14 +35,12 @@ class FoldStage:
             hypotheses, sources, hits, misses = \
                 find_stream_hypotheses_warm(
                     ctx.edges, ctx.candidate_periods(),
-                    ctx.session.warm_hints(),
-                    config=ctx.config.folding_config)
+                    ctx.session.warm_hints())
             ctx.stats.bump("fold_hits", hits)
             ctx.stats.bump("fold_misses", misses)
         else:
             hypotheses = find_stream_hypotheses(
-                ctx.edges, ctx.candidate_periods(),
-                config=ctx.config.folding_config)
+                ctx.edges, ctx.candidate_periods())
             sources = [None] * len(hypotheses)
         ctx.hypotheses = hypotheses
         ctx.sources = sources

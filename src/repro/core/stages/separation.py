@@ -26,6 +26,13 @@ from .anchor import assemble_stream
 from .context import DecodeContext
 from .projection import looks_multilevel, project_single_scaled
 
+#: A projected observation farther than this from every ideal level in
+#: {-1, 0, +1} counts as off-lattice.
+DISPERSION_EPS = 0.2
+#: The dispersion gate skips the multilevel k-means check when the
+#: off-lattice fraction is at or below this; anything above escalates.
+DISPERSION_FRACTION = 0.02
+
 
 def decode_collided(ctx: DecodeContext, track: StreamTrack,
                     tracker=None,
@@ -67,9 +74,7 @@ def decode_collided(ctx: DecodeContext, track: StreamTrack,
         separation = separate_two_way(
             diffs, rng=ctx.rng,
             centroid_hint=centroid_hint,
-            basis_hint=basis_hint,
-            basis_tolerance=(session.config.basis_tolerance
-                             if session is not None else 0.25))
+            basis_hint=basis_hint)
         if centroid_hint is not None and not seeded:
             ctx.bump("kmeans_hits")
         if basis_hint is not None:
@@ -183,7 +188,7 @@ class SeparationStage:
                     multilevel = False
         pol = ctx.fidelity
         if multilevel is None and can_check and pol.active \
-                and pol.dispersion_gate and not scope.trusted:
+                and not scope.trusted:
             # Dispersion pre-gate: a lone tag's projection sits on the
             # {-1, 0, +1} lattice up to noise; a cleanly trimodal
             # projection skips the paired k-means fits, while any real
@@ -192,8 +197,8 @@ class SeparationStage:
             with ctx.stats.stage("detect"):
                 off = np.abs(observations
                              - np.clip(np.round(observations), -1, 1))
-                frac = float(np.mean(off > pol.dispersion_eps))
-                if frac <= pol.dispersion_fraction:
+                frac = float(np.mean(off > DISPERSION_EPS))
+                if frac <= DISPERSION_FRACTION:
                     multilevel = False
                     ctx.stats.bump_fidelity("multilevel_fast")
                 else:

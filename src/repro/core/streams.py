@@ -11,14 +11,14 @@ averaging windows (Section 3.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError, DecodeError
 from ..types import DetectedEdge, IQTrace, StreamHypothesis
-from .edges import EdgeDetector, EdgeDetectorConfig
+from .edges import EdgeDetector
 
 
 @dataclass
@@ -160,17 +160,12 @@ def read_grid_differentials(trace: IQTrace, track: StreamTrack,
     det = detector or EdgeDetector()
     if guard_override is not None or window_override is not None:
         cfg = det.config
-        det = EdgeDetector(EdgeDetectorConfig(
-            diff_window=cfg.diff_window,
+        det = EdgeDetector(replace(
+            cfg,
             guard=cfg.guard if guard_override is None
             else guard_override,
-            threshold_factor=cfg.threshold_factor,
-            min_threshold=cfg.min_threshold,
-            min_separation=cfg.min_separation,
-            merge_radius=cfg.merge_radius,
             max_refine_window=cfg.max_refine_window
-            if window_override is None else window_override,
-        ))
+            if window_override is None else window_override))
     grid = np.minimum(np.maximum(
         np.rint(track.grid_positions()).astype(np.int64), 0),
         len(trace) - 1)

@@ -39,6 +39,20 @@ from ..types import IQTrace
 __all__ = ["GuardConfig", "TraceHealth", "sanitize_trace"]
 
 
+#: Relative tolerance for "pinned at the rail" detection.
+RAIL_TOLERANCE = 1e-9
+#: Shortest pinned run that counts as clipping (isolated extreme
+#: samples are legitimate noise peaks).
+MIN_CLIP_RUN = 4
+#: Clipped-sample fraction above which the health is flagged.
+CLIP_FLAG_FRACTION = 1e-3
+#: Clipped-sample fraction above which the capture is rejected.
+CLIP_REJECT_FRACTION = 0.5
+#: Peak-to-peak spread (relative to the sample scale) below which the
+#: capture counts as a flat-line.
+FLATLINE_RELATIVE_SPREAD = 1e-12
+
+
 @dataclass(frozen=True)
 class GuardConfig:
     """Tuning of the trace guard's repair/reject policy."""
@@ -50,18 +64,6 @@ class GuardConfig:
     max_bad_fraction: float = 0.5
     #: Shortest sanitized trace worth decoding (else reject).
     min_usable_samples: int = 32
-    #: Relative tolerance for "pinned at the rail" detection.
-    rail_tolerance: float = 1e-9
-    #: Shortest pinned run that counts as clipping (isolated extreme
-    #: samples are legitimate noise peaks).
-    min_clip_run: int = 4
-    #: Clipped-sample fraction above which the health is flagged.
-    clip_flag_fraction: float = 1e-3
-    #: Clipped-sample fraction above which the capture is rejected.
-    clip_reject_fraction: float = 0.5
-    #: Peak-to-peak spread (relative to the sample scale) below which
-    #: the capture counts as a flat-line.
-    flatline_relative_spread: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.max_interp_gap < 1:
@@ -72,11 +74,6 @@ class GuardConfig:
         if self.min_usable_samples < 2:
             raise ConfigurationError(
                 "min_usable_samples must be >= 2")
-        if self.min_clip_run < 1:
-            raise ConfigurationError("min_clip_run must be >= 1")
-        if not 0 < self.clip_reject_fraction <= 1:
-            raise ConfigurationError(
-                "clip_reject_fraction must be in (0, 1]")
 
 
 @dataclass
@@ -119,12 +116,12 @@ def _runs_of(mask: np.ndarray) -> List[Tuple[int, int]]:
     return list(zip(changes[0::2].tolist(), changes[1::2].tolist()))
 
 
-def _pinned_run_count(channel: np.ndarray, config: GuardConfig) -> int:
-    """Samples pinned at this channel's rails in runs >= min_clip_run.
+def _pinned_run_count(channel: np.ndarray) -> int:
+    """Samples pinned at this channel's rails in runs >= MIN_CLIP_RUN.
 
     Detection is only meaningful on a noisy channel: receiver noise
     jitters every sample, so a run of samples repeating the extreme
-    value to within ``rail_tolerance`` cannot happen unless the ADC
+    value to within ``RAIL_TOLERANCE`` cannot happen unless the ADC
     clipped them.  A noiseless synthetic capture (zero successive
     difference during holds) legitimately repeats its peak level and
     is skipped outright.
@@ -133,7 +130,7 @@ def _pinned_run_count(channel: np.ndarray, config: GuardConfig) -> int:
     rail = float(magnitude.max(initial=0.0))
     if rail <= 0 or channel.size < 2:
         return 0
-    pinned = magnitude >= rail * (1.0 - config.rail_tolerance)
+    pinned = magnitude >= rail * (1.0 - RAIL_TOLERANCE)
     # Estimate the noise floor away from the rails: inside a clipped
     # run every successive difference is exactly zero, so including
     # the run would let heavy clipping hide its own evidence.
@@ -142,35 +139,33 @@ def _pinned_run_count(channel: np.ndarray, config: GuardConfig) -> int:
     if diffs.size == 0:
         return 0  # everything pinned: the flat-line check owns this
     noise_floor = float(np.median(diffs))
-    if noise_floor <= rail * config.rail_tolerance:
+    if noise_floor <= rail * RAIL_TOLERANCE:
         return 0
     total = 0
     for start, stop in _runs_of(pinned):
-        if stop - start >= config.min_clip_run:
+        if stop - start >= MIN_CLIP_RUN:
             total += stop - start
     return total
 
 
-def _detect_quality(samples: np.ndarray, health: TraceHealth,
-                    config: GuardConfig) -> None:
+def _detect_quality(samples: np.ndarray, health: TraceHealth) -> None:
     """Flag clipping and flat-lines on finite samples (reject extremes)."""
     real, imag = samples.real, samples.imag
     scale = max(float(np.max(np.abs(real), initial=0.0)),
                 float(np.max(np.abs(imag), initial=0.0)), 1e-30)
     spread = float(real.max() - real.min()) \
         + float(imag.max() - imag.min())
-    if spread <= config.flatline_relative_spread * scale:
+    if spread <= FLATLINE_RELATIVE_SPREAD * scale:
         health.verdict = "rejected"
         health.notes.append("flat-line capture")
         error = FlatlineSignalError(
             1.0, "capture is constant: no signal reached the receiver")
         error.health = health
         raise error
-    n_clipped = _pinned_run_count(real, config) \
-        + _pinned_run_count(imag, config)
+    n_clipped = _pinned_run_count(real) + _pinned_run_count(imag)
     fraction = n_clipped / (2.0 * samples.size)
     health.n_clipped = n_clipped
-    if fraction > config.clip_reject_fraction:
+    if fraction > CLIP_REJECT_FRACTION:
         health.verdict = "rejected"
         health.notes.append("saturated capture")
         error = SaturatedSignalError(
@@ -178,7 +173,7 @@ def _detect_quality(samples: np.ndarray, health: TraceHealth,
             "the ADC rails")
         error.health = health
         raise error
-    if fraction > config.clip_flag_fraction:
+    if fraction > CLIP_FLAG_FRACTION:
         health.verdict = "degraded"
         health.notes.append(
             f"clipping: {n_clipped} rail-pinned samples")
@@ -220,7 +215,7 @@ def sanitize_trace(trace: IQTrace,
     bad = ~(np.isfinite(samples.real) & np.isfinite(samples.imag))
     n_bad = int(np.count_nonzero(bad))
     if n_bad == 0:
-        _detect_quality(samples, health, cfg)
+        _detect_quality(samples, health)
         return trace, health
 
     health.n_nonfinite = n_bad
@@ -283,5 +278,5 @@ def sanitize_trace(trace: IQTrace,
     repaired = IQTrace(
         samples=region, sample_rate_hz=trace.sample_rate_hz,
         start_time_s=trace.start_time_s + start / trace.sample_rate_hz)
-    _detect_quality(repaired.samples, health, cfg)
+    _detect_quality(repaired.samples, health)
     return repaired, health

@@ -199,7 +199,7 @@ class ChaosInjector:
 
     Use :func:`chaos_service_config` to wire one into a
     :class:`~repro.service.config.ServiceConfig`; the injector's
-    ``injected`` counters say what actually fired (a soak asserting
+    :meth:`counts` say what actually fired (a soak asserting
     "the service survived X" should also assert X happened).
     """
 
@@ -238,11 +238,6 @@ class ChaosInjector:
         with self._lock:
             return {name: int(counter.value)
                     for name, counter in self._counters.items()}
-
-    @property
-    def injected(self) -> Dict[str, int]:
-        """Alias of :meth:`counts` kept for the PR 8 soak API."""
-        return self.counts()
 
     def decoder_factory(self, key: Tuple[int, int], seed: int):
         if self._inner_factory is not None:

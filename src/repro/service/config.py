@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..core.pipeline import LFDecoderConfig
 from ..core.session import SessionConfig
 from ..errors import ConfigurationError
-from .metrics import DEFAULT_BUCKETS
 
 #: Overflow policies for a full shard queue.
 SHED_OLDEST = "shed_oldest"
@@ -63,9 +62,6 @@ class ServiceConfig:
     overflow: str = SHED_OLDEST
     #: Per-shard ring capacity in complex128 samples (16 bytes each).
     ring_samples: int = 1 << 20
-    #: Back the rings with multiprocessing.shared_memory blocks
-    #: (``None`` = when the platform has them).
-    use_shared_memory: Optional[bool] = None
     #: Decoder configuration shared by every stream's SessionDecoder.
     decoder: LFDecoderConfig = field(default_factory=LFDecoderConfig)
     #: Cross-epoch tracking configuration (``None`` = defaults).
@@ -83,8 +79,6 @@ class ServiceConfig:
     #: recently used stream is evicted first (its tags re-warm on
     #: return) so tag churn cannot grow memory without bound.
     max_sessions: int = 64
-    #: Latency histogram bucket bounds, seconds.
-    latency_buckets: Sequence[float] = DEFAULT_BUCKETS
     #: Test seam: builds the per-stream decoder for a stream key.
     #: ``None`` builds a SessionDecoder from ``decoder``/``session``
     #: seeded by :func:`repro.service.router.stream_seed`.  A custom

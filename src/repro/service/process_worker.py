@@ -60,6 +60,9 @@ import signal
 import threading
 from typing import Callable, Dict, Optional, Tuple
 
+# Strikes (send + resubmission) before a frame is failed on a child
+# that keeps dying or hanging: the batch engine's crash quarantine.
+from ..core.engine import _CRASH_STRIKES
 from ..errors import ConfigurationError
 from ..types import EpochResult
 from .config import ServiceConfig
@@ -67,11 +70,6 @@ from .framing import ChunkFrame, RingView
 from .metrics import MetricsRegistry, RegistrySnapshotter
 from .worker import (STATUS_FAILED, ChunkResult, SessionPool,
                      ShardWorker)
-
-#: Strikes (send + resubmission) before a frame is failed on a child
-#: that keeps dying or hanging — mirrors the batch engine's two-strike
-#: crash quarantine.
-_CRASH_STRIKES = 2
 
 #: How long the parent waits for a child to acknowledge ``("stop",)``
 #: before escalating to ``terminate()``.
@@ -97,8 +95,7 @@ class ProcessShardWorker(ShardWorker):
         if self.ring.shm_name is None:
             raise ConfigurationError(
                 "executor='process' needs shared-memory rings "
-                "(use_shared_memory must not be False and /dev/shm "
-                "must have room)")
+                "(/dev/shm must have room)")
         self._registry = registry
         # Lock-step IPC: one command in flight per child, ever.
         self._ipc = threading.Lock()

@@ -113,8 +113,7 @@ class SessionPool:
         self.config = config
         self._sessions: "OrderedDict[Tuple[int, int], _StreamSlot]" = \
             OrderedDict()
-        self._observer = StageLatencyObserver(
-            registry, shard_id, buckets=config.latency_buckets)
+        self._observer = StageLatencyObserver(registry, shard_id)
         self._shard_label = str(shard_id)
         self._m_retries = registry.counter(
             "lf_chunk_retries_total",
@@ -227,8 +226,8 @@ class ShardWorker:
                  on_result: Callable[[ChunkResult], None]):
         self.shard_id = shard_id
         self.config = config
-        self.ring = ChunkRing(config.ring_samples,
-                              use_shared_memory=config.use_shared_memory)
+        # Shared-memory rings when the platform has them.
+        self.ring = ChunkRing(config.ring_samples)
         self._on_result = on_result
         self._queue: Deque[ChunkFrame] = deque()
         self._cond = threading.Condition()
@@ -263,12 +262,10 @@ class ShardWorker:
             "lf_queue_depth", "Frames waiting on the shard queue.")
         self._m_latency = registry.histogram(
             "lf_chunk_latency_seconds",
-            "Ingest-to-completion latency per chunk.",
-            buckets=config.latency_buckets)
+            "Ingest-to-completion latency per chunk.")
         self._m_decode = registry.histogram(
             "lf_chunk_decode_seconds",
-            "Decode call latency per chunk (queue wait excluded).",
-            buckets=config.latency_buckets)
+            "Decode call latency per chunk (queue wait excluded).")
         self._shard_label = shard
         self._thread: Optional[threading.Thread] = None
 

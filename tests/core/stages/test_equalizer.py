@@ -45,9 +45,7 @@ def _piecewise_constant(n_edges=300, seed=0, noise=0.01):
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        EqualizerConfig(peak_threshold=0.5)
-    with pytest.raises(ConfigurationError):
-        EqualizerConfig(strong_fraction=1.5)
+        EqualizerConfig(noise_regularization=0.0)
 
 
 def test_flat_channel_refused_as_flat():

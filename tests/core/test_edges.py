@@ -128,14 +128,8 @@ class TestRefineDifferentials:
 class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ConfigurationError):
-            EdgeDetectorConfig(diff_window=0)
-        with pytest.raises(ConfigurationError):
             EdgeDetectorConfig(guard=-1)
         with pytest.raises(ConfigurationError):
-            EdgeDetectorConfig(threshold_factor=0)
-        with pytest.raises(ConfigurationError):
             EdgeDetectorConfig(min_separation=0)
-        with pytest.raises(ConfigurationError):
-            EdgeDetectorConfig(merge_radius=-1)
         with pytest.raises(ConfigurationError):
             EdgeDetectorConfig(max_refine_window=0)

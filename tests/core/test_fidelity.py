@@ -2,8 +2,10 @@
 
 import pytest
 
+import dataclasses
+
 from repro.core.fidelity import (FIDELITY_STAT_KEYS, FidelityPolicy,
-                                 escalation_rate, merge_fidelity_stats)
+                                 escalation_rate)
 from repro.errors import ConfigurationError
 
 
@@ -20,29 +22,25 @@ class TestPolicyFlags:
 
     def test_policy_is_frozen(self):
         with pytest.raises(AttributeError):
-            FidelityPolicy().pregate = False
+            FidelityPolicy().force_full = True
+
+    def test_force_full_is_the_only_switch(self):
+        """One off switch per feature: every fast path hangs off
+        ``force_full``; the other fields are tuned margins."""
+        switches = [f.name for f in dataclasses.fields(FidelityPolicy)
+                    if f.type in (bool, "bool")]
+        assert switches == ["force_full"]
 
 
 class TestPolicyValidation:
     @pytest.mark.parametrize("kwargs", [
         {"pregate_margin": 0.0},
         {"pregate_margin": 1.0},
-        {"pregate_margin_warm": 1.5},
-        {"subsample_cap": -1},
-        {"subsample_cap": 16},       # too small for 9 clusters
-        {"confidence_gap": 1.0},
-        {"dispersion_eps": 0.0},
-        {"dispersion_fraction": 1.0},
         {"viterbi_band_margin": -1e-6},
-        {"bounded_min_points": 1},
     ])
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             FidelityPolicy(**kwargs)
-
-    def test_zero_subsample_cap_disables_subsampling(self):
-        # 0 is the documented off-switch, not a degenerate cap.
-        assert FidelityPolicy(subsample_cap=0).subsample_cap == 0
 
 
 class TestStats:
@@ -50,13 +48,6 @@ class TestStats:
         stats = FidelityPolicy().new_stats()
         assert set(stats) == set(FIDELITY_STAT_KEYS)
         assert all(v == 0 for v in stats.values())
-
-    def test_merge_accumulates_and_returns_target(self):
-        into = {"pregate_fast": 2}
-        out = merge_fidelity_stats(into, {"pregate_fast": 3,
-                                          "viterbi_exact": 1})
-        assert out is into
-        assert into == {"pregate_fast": 5, "viterbi_exact": 1}
 
     def test_escalation_rate_mixes_all_gate_pairs(self):
         stats = {"pregate_fast": 3, "pregate_escalations": 1,

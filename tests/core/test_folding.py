@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.folding import (FoldingConfig, analog_fold_search,
+from repro.core.folding import (analog_fold_search,
                                 find_stream_hypotheses, fold_histogram)
 from repro.errors import ConfigurationError
 from repro.types import DetectedEdge
@@ -63,8 +63,7 @@ class TestFindStreamHypotheses:
 
     def test_too_few_edges_no_stream(self):
         positions = 40.0 + 250.0 * np.arange(3)
-        hyps = find_stream_hypotheses(edges_at(positions), [250.0],
-                                      FoldingConfig(min_edges=5))
+        hyps = find_stream_hypotheses(edges_at(positions), [250.0])
         assert hyps == []
 
     def test_drifting_stream_tracked(self):

@@ -6,7 +6,6 @@ import pytest
 from repro.core.folding import (FoldingConfig, _circular_peak_offsets,
                                 analog_fold_search,
                                 find_stream_hypotheses)
-from repro.errors import ConfigurationError
 from repro.types import DetectedEdge
 
 
@@ -77,14 +76,6 @@ class TestAnalogFoldDrift:
 
 
 class TestConfigEdges:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            FoldingConfig(bin_width_samples=0)
-        with pytest.raises(ConfigurationError):
-            FoldingConfig(min_edges=1)
-        with pytest.raises(ConfigurationError):
-            FoldingConfig(match_tolerance_samples=0)
-
     def test_duplicate_candidate_periods_deduped(self):
         positions = 40.0 + 250.0 * np.arange(20)
         hyps = find_stream_hypotheses(edges_at(positions),

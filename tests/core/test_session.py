@@ -4,7 +4,7 @@ Covers the three ways a :class:`StreamTracker` can be wrong and what
 the session does about each: a tag that *appears* mid-session (no
 tracker — cold pickup), a tag that *disappears* (tracker evicted after
 ``max_misses`` unmatched epochs), and a tag whose timing *drifts*
-beyond ``period_tolerance`` (tracker refuses the match; the stream is
+beyond ``PERIOD_TOLERANCE`` (tracker refuses the match; the stream is
 re-acquired cold under a fresh tracker).  The warm path must stay an
 optimization, never an oracle: on stable streams its bits match a cold
 decoder's exactly.
@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from repro.core import LFDecoder, LFDecoderConfig, SessionDecoder
-from repro.core.session import (SessionConfig, SessionState,
-                                StreamTracker, CACHE_STAT_KEYS)
+from repro.core.session import (PERIOD_TOLERANCE, SessionConfig,
+                                SessionState, StreamTracker,
+                                CACHE_STAT_KEYS)
 from repro.errors import ConfigurationError
 from repro.phy.channel import ChannelModel, random_coefficients
 from repro.reader.simulator import NetworkSimulator
@@ -110,12 +111,11 @@ def test_missed_tracker_recovers_on_rematch():
 
 
 def test_drift_beyond_tolerance_forces_reacquisition():
-    cfg = SessionConfig(period_tolerance=1.5e-3)
-    state = SessionState(cfg)
+    state = SessionState()
     tracker, diffs = _seed_tracker(state, period=250.0)
 
     state.begin_epoch()
-    drifted = 250.0 * (1 + 4 * cfg.period_tolerance)
+    drifted = 250.0 * (1 + 4 * PERIOD_TOLERANCE)
     assert state.match(drifted, 40.0, diffs) is None
     # The decode proceeds cold and re-acquires under a new tracker.
     fresh = state.observe(None, drifted, 40.0, diffs)
@@ -125,7 +125,7 @@ def test_drift_beyond_tolerance_forces_reacquisition():
 
     # Within tolerance the same stream still matches (ppm drift).
     state.begin_epoch()
-    nearby = 250.0 * (1 + 0.5 * cfg.period_tolerance)
+    nearby = 250.0 * (1 + 0.5 * PERIOD_TOLERANCE)
     assert state.match(nearby, 7.0, diffs) is tracker
     state.end_epoch({})
 
@@ -151,7 +151,7 @@ def test_phase_is_identity_only_for_chunked_captures():
 
 def test_warm_fit_blown_guard():
     from repro.core.clustering import KMeansResult
-    state = SessionState(SessionConfig(inertia_blowup=4.0))
+    state = SessionState()
     good = KMeansResult(centroids=np.zeros(3, dtype=complex),
                         labels=np.zeros(100, dtype=int),
                         inertia=1.0)
@@ -168,13 +168,9 @@ def test_warm_fit_blown_guard():
 
 def test_session_config_validation():
     with pytest.raises(ConfigurationError):
-        SessionConfig(period_tolerance=0.0)
-    with pytest.raises(ConfigurationError):
-        SessionConfig(inertia_blowup=1.0)
-    with pytest.raises(ConfigurationError):
         SessionConfig(max_misses=0)
     with pytest.raises(ConfigurationError):
-        SessionConfig(geometry_tolerance=2.5)
+        SessionConfig(max_invalidations=0)
 
 
 # -- full-decode lifecycle -------------------------------------------------

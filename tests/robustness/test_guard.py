@@ -126,8 +126,6 @@ class TestConfig:
         {"max_bad_fraction": 0.0},
         {"max_bad_fraction": 1.5},
         {"min_usable_samples": 1},
-        {"min_clip_run": 0},
-        {"clip_reject_fraction": 0.0},
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
