@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Throughput-regression gate against the committed baseline.
 
-Re-runs the decoder speed benchmark and compares its headline
-``samples_per_second`` to the value recorded in
-``benchmarks/BENCH_decoder.json``.  A drop of more than 20% fails the
-process with a non-zero exit code, so CI catches changes that slow the
-decoder down without anyone staring at benchmark tables::
+Re-runs the decoder speed benchmark three times, each in its own
+subprocess, and compares the median headline ``samples_per_second`` to
+the value recorded in ``benchmarks/BENCH_decoder.json``.  A drop of
+more than 20% fails the process with a non-zero exit code, so CI
+catches changes that slow the decoder down without anyone staring at
+benchmark tables::
 
     PYTHONPATH=src python benchmarks/check_regression.py
     PYTHONPATH=src python benchmarks/check_regression.py --tolerance 0.3
@@ -30,7 +31,10 @@ can land before the first baseline does.
 
 The 20% default is deliberately loose: shared CI runners jitter by
 ±10% run to run, and the gate exists to catch real regressions (2x
-slowdowns from an accidental O(n^2) path), not 5% noise.  Ratcheting
+slowdowns from an accidental O(n^2) path), not 5% noise.  On small
+hosts a single run can still swing past the bound (one 2-core host
+read 292k, 315k and 433k samples/s for the same code), hence the
+median of three fresh runs; all three readings are printed.  Ratcheting
 the baseline downward is a deliberate act — regenerate the JSON with
 ``run_bench.py`` and commit it alongside the change that explains it.
 
@@ -56,6 +60,9 @@ BASELINE = BENCH_DIR / "BENCH_decoder.json"
 #: parameter.
 HEADLINE = "test_decode_speed_16_tags"
 DEFAULT_TOLERANCE = 0.20
+#: Fresh runs of the speed test when no ``--candidate`` is given; the
+#: gate reads their median.
+FRESH_RUNS = 3
 #: Highest acceptable fidelity escalation rate on the clean 16-tag
 #: benchmark.  The fixture is low-noise and collision-light, so a
 #: healthy adaptive ladder resolves well over half its gate decisions
@@ -139,13 +146,25 @@ def load_baseline(path: Path) -> float:
 
 
 def measure_candidate(candidate: Path | None) -> tuple:
-    """Headline (rate, fidelity_stats) of a saved export or fresh run."""
+    """Headline (rate, fidelity_stats) of a saved export, or the
+    median of :data:`FRESH_RUNS` fresh runs."""
     if candidate is not None:
         payload = json.loads(candidate.read_text())
         # Accept either our summary format or pytest-benchmark's raw
         # export (whose entries keep extra_info nested).
         benches = _normalize(payload.get("benchmarks", []))
         return _headline_rate(benches), _headline_fidelity_stats(benches)
+    readings = [run_speed_test() for _ in range(FRESH_RUNS)]
+    print("readings : " + ", ".join(f"{rate:,.0f}"
+                                     for rate, _ in readings)
+          + " samples/s")
+    readings.sort(key=lambda reading: reading[0])
+    return readings[len(readings) // 2]
+
+
+def run_speed_test() -> tuple:
+    """One fresh run of the decoder speed test in its own subprocess;
+    headline (rate, fidelity_stats)."""
     with tempfile.TemporaryDirectory() as tmp:
         json_path = Path(tmp) / "candidate.json"
         cmd = [sys.executable, "-m", "pytest",

@@ -19,42 +19,50 @@ hundreds of independent epochs with the same :class:`LFDecoderConfig`.
   as pending futures or live shared-memory blocks.
 * **One outcome per input** — the supervisor guarantees forward
   progress no matter what a task does to its worker.  A task that
-  raises is retried with exponential backoff up to ``max_attempts``; a
-  task that hangs past ``task_timeout_s`` has its pool killed and
-  respawned (the head of the pending queue owns the deadline, so blame
-  is precise); a task that *crashes* its worker (``os._exit``,
-  segfault) breaks the whole pool — the supervisor respawns it and
-  re-runs the in-flight suspects one at a time so the killer is
-  identified by elimination.  Two strikes (crashes or hangs) quarantine
-  the task as a ``failed`` :class:`EpochOutcome`; every other epoch
-  still decodes and every input yields exactly one outcome.
+  raises is retried with exponential backoff up to :data:`MAX_ATTEMPTS`
+  attempts; a task that hangs past ``task_timeout_s`` has its pool
+  killed and respawned (the head of the pending queue owns the
+  deadline, so blame is precise); a task that *crashes* its worker
+  (``os._exit``, segfault) breaks the whole pool — the supervisor
+  respawns it and re-runs the in-flight suspects one at a time so the
+  killer is identified by elimination.  :data:`CRASH_STRIKES` strikes
+  (crashes or hangs) quarantine the task as a ``failed``
+  :class:`EpochOutcome`; every other epoch still decodes and every
+  input yields exactly one outcome.
 * **Timing transparency** — each :class:`EpochResult` carries the
   pipeline's per-stage wall-clock breakdown (``stage_timings``), and
   :meth:`BatchDecoder.aggregate_timings` folds them into one profile
   for the whole batch.
 
-The same supervision machinery also runs *generic trials*
+Every unit of supervised work is a *trial*
 (:meth:`BatchDecoder.iter_trials`): a :class:`TrialSpec` pairs an
 optional trace with an arbitrary picklable payload and an optional
 explicit integer seed, and a top-level ``trial_fn(trace, payload, rng,
-config)`` replaces the stock epoch decode.  Experiment sweeps use this
-to push their per-trial work (decode + score, reliability-link runs,
-config-variant decodes) through one engine instead of bespoke serial
-loops, with the same ordered streaming, retry/hang/crash supervision
-and per-worker-count determinism.  An explicit ``seed`` reproduces a
-legacy ``np.random.default_rng(seed)`` stream bit for bit, which is
-how refit experiments keep row parity with their serial ancestors.
+config)`` does the work.  An epoch decode is the trial
+:func:`_decode_trial` with the epoch index as payload; experiment
+sweeps push their per-trial work (decode + score, reliability-link
+runs, config-variant decodes) through the same path, with the same
+ordered streaming, retry/hang/crash supervision and per-worker-count
+determinism.  An explicit ``seed`` reproduces a legacy
+``np.random.default_rng(seed)`` stream bit for bit, which is how refit
+experiments keep row parity with their serial ancestors.
+
+The retry budget (:data:`MAX_ATTEMPTS`, :data:`RETRY_BACKOFF_S`) and
+the crash quarantine (:data:`CRASH_STRIKES`) are module constants the
+streaming service's executors import too, so every supervised decode
+in the package answers to one ladder.
 
 Workers receive the decoder config once (pool initializer), not once
 per task.  Trace samples travel through ``multiprocessing.shared_memory``
-when available: the parent writes each epoch's samples into a block
-once and the worker decodes a zero-copy view, skipping the pickle
-serialize/deserialize round-trip entirely.  Hosts without POSIX shared
-memory (or with an exhausted ``/dev/shm``) fall back per task to the
-pickle transport, for which :meth:`IQTrace.__getstate__` drops the
-derived-array caches so the payload is just the raw samples.  Every
-failure path — worker crash, hang, retry, abandoned iteration — unlinks
-its shared-memory blocks before the supervisor moves on.
+when available: the parent writes each trial's samples into a block
+once and the worker decodes a zero-copy view
+(:func:`attach_shared_memory`), skipping the pickle serialize/deserialize
+round-trip entirely.  Hosts without POSIX shared memory (or with an
+exhausted ``/dev/shm``) fall back per task to the pickle transport, for
+which :meth:`IQTrace.__getstate__` drops the derived-array caches so
+the payload is just the raw samples.  Every failure path — worker
+crash, hang, retry, abandoned iteration — unlinks its shared-memory
+blocks before the supervisor moves on.
 """
 
 from __future__ import annotations
@@ -86,53 +94,31 @@ except ImportError:  # pragma: no cover - always present on CPython 3.8+
 #: Per-process decoder config, installed by the pool initializer.
 _WORKER_CONFIG: Optional[LFDecoderConfig] = None
 
+#: Attempts per task that may end in an in-worker exception before the
+#: task is reported ``failed``.  The service retries each chunk as often.
+MAX_ATTEMPTS = 2
+
+#: Delay before the engine's first retry; doubles per retry.  (The
+#: service retries at once: a sleep would stall its whole shard.)
+RETRY_BACKOFF_S = 0.05
+
 #: Worker kills (crash or hang) after which a task is quarantined.  The
 #: service's process executor fails a frame after as many strikes.
-_CRASH_STRIKES = 2
+CRASH_STRIKES = 2
 
 
-def _init_worker(config: LFDecoderConfig) -> None:
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = config
+def attach_shared_memory(name: str) -> "_shared_memory.SharedMemory":
+    """Open another process's shared-memory block by name.
 
-
-def _decode_task(index: int, trace: IQTrace,
-                 seed_seq: np.random.SeedSequence,
-                 config: Optional[LFDecoderConfig] = None) -> EpochResult:
-    """Decode one epoch with a task-local decoder and RNG.
-
-    A fresh :class:`LFDecoder` per task is deliberate: decoder state
-    (its RNG position) must depend only on this task's seed sequence,
-    never on which other tasks the worker processed first.
+    POSIX attachment re-registers the block with a resource tracker, so
+    under non-fork start methods (per-process trackers) the attachment
+    must be unregistered or this process's tracker tears the block down
+    when it exits.  Under fork the tracker process is *shared* with the
+    owner and registration is a set — unregistering here would strip
+    the owner's own entry and break its unlink.  The owner keeps the
+    block's lifetime: callers only ever ``close()`` what this returns.
     """
-    cfg = config if config is not None else _WORKER_CONFIG
-    decoder = LFDecoder(cfg, rng=np.random.default_rng(seed_seq))
-    result = decoder.decode_epoch(trace)
-    result.epoch_index = index
-    return result
-
-
-def _decode_task_shm(index: int, shm_name: str, n_samples: int,
-                     sample_rate_hz: float, start_time_s: float,
-                     seed_seq: np.random.SeedSequence) -> EpochResult:
-    """Decode one epoch whose samples live in a shared-memory block.
-
-    The worker attaches the parent's block and decodes a zero-copy view
-    of it; the parent owns the block's lifetime (it unlinks after the
-    result arrives).  POSIX attachment re-registers the block with a
-    resource tracker, so under non-fork start methods (per-process
-    trackers) the attachment must be unregistered or the worker's
-    tracker tears the block down when the worker exits.  Under fork the
-    tracker process is *shared* with the parent and registration is a
-    set — unregistering here would strip the parent's own entry and
-    break its unlink.
-
-    The view must not outlive the block: every array an
-    :class:`EpochResult` carries is derived (bits, centroids, timing
-    fits), never a slice of the raw trace, so closing before return is
-    safe — the executor pickles the result after this frame exits.
-    """
-    shm = _shared_memory.SharedMemory(name=shm_name)
+    shm = _shared_memory.SharedMemory(name=name)
     try:
         import multiprocessing
         if multiprocessing.get_start_method() != "fork":
@@ -140,20 +126,35 @@ def _decode_task_shm(index: int, shm_name: str, n_samples: int,
             resource_tracker.unregister(shm._name, "shared_memory")
     except Exception:  # pragma: no cover - tracker layout varies
         pass
-    try:
-        samples = np.ndarray((n_samples,), dtype=np.complex128,
-                             buffer=shm.buf)
-        trace = IQTrace(samples=samples, sample_rate_hz=sample_rate_hz,
-                        start_time_s=start_time_s)
-        return _decode_task(index, trace, seed_seq)
-    finally:
-        shm.close()
+    return shm
 
 
-def _trial_task(fn: Callable, index: int, trace: Optional[IQTrace],
-                payload: Any, seed,
-                config: Optional[LFDecoderConfig] = None) -> Any:
-    """Run one generic trial with a task-local RNG.
+def _init_worker(config: LFDecoderConfig) -> None:
+    global _WORKER_CONFIG
+    _WORKER_CONFIG = config
+
+
+def _retry_delay(retry: int) -> float:
+    """Backoff before retry number ``retry`` (1-based)."""
+    return RETRY_BACKOFF_S * 2 ** (retry - 1)
+
+
+def _decode_trial(trace: IQTrace, index: int, rng: np.random.Generator,
+                  config: LFDecoderConfig) -> EpochResult:
+    """The epoch-decode trial: decode ``trace`` as epoch ``index``.
+
+    A fresh :class:`LFDecoder` per task is deliberate: decoder state
+    (its RNG position) must depend only on this task's seed, never on
+    which other tasks the worker processed first.
+    """
+    result = LFDecoder(config, rng=rng).decode_epoch(trace)
+    result.epoch_index = index
+    return result
+
+
+def _trial_task(fn: Callable, trace: Optional[IQTrace], payload: Any,
+                seed, config: Optional[LFDecoderConfig] = None) -> Any:
+    """Run one trial with a task-local RNG.
 
     ``seed`` is either an explicit integer (legacy serial loops seeded
     ``default_rng(int)``; passing the raw int through reproduces that
@@ -163,29 +164,27 @@ def _trial_task(fn: Callable, index: int, trace: Optional[IQTrace],
     unlinks once the result arrives.
     """
     cfg = config if config is not None else _WORKER_CONFIG
-    rng = np.random.default_rng(seed)
-    return fn(trace, payload, rng, cfg)
+    return fn(trace, payload, np.random.default_rng(seed), cfg)
 
 
-def _trial_task_shm(fn: Callable, index: int, shm_name: str,
-                    n_samples: int, sample_rate_hz: float,
-                    start_time_s: float, payload: Any, seed) -> Any:
-    """Shared-memory transport for :func:`_trial_task` (same tracker
-    discipline as :func:`_decode_task_shm`)."""
-    shm = _shared_memory.SharedMemory(name=shm_name)
-    try:
-        import multiprocessing
-        if multiprocessing.get_start_method() != "fork":
-            from multiprocessing import resource_tracker
-            resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker layout varies
-        pass
+def _trial_task_shm(fn: Callable, shm_name: str, n_samples: int,
+                    sample_rate_hz: float, start_time_s: float,
+                    payload: Any, seed) -> Any:
+    """:func:`_trial_task` on a trace whose samples live in the
+    parent's shared-memory block.
+
+    The view must not outlive the block: a trial returns derived data
+    only (an :class:`EpochResult` carries bits, centroids and timing
+    fits, never a slice of the raw trace), so closing before return is
+    safe — the executor pickles the result after this frame exits.
+    """
+    shm = attach_shared_memory(shm_name)
     try:
         samples = np.ndarray((n_samples,), dtype=np.complex128,
                              buffer=shm.buf)
         trace = IQTrace(samples=samples, sample_rate_hz=sample_rate_hz,
                         start_time_s=start_time_s)
-        return _trial_task(fn, index, trace, payload, seed)
+        return _trial_task(fn, trace, payload, seed)
     finally:
         shm.close()
 
@@ -217,8 +216,9 @@ class EpochOutcome:
     collision, isolated stream fault) or ``"failed"`` (the task itself
     could not be completed: exhausted retries, repeated worker crashes
     or hangs; ``result`` is ``None`` and ``error`` says why).
-    ``attempts`` counts submissions, including resubmissions forced by
-    *other* tasks crashing the shared pool.
+    ``attempts`` counts the attempts started, including any lost to a
+    dead worker — resubmissions forced by *other* tasks crashing the
+    shared pool included.
 
     For :meth:`BatchDecoder.iter_trials` the same verdict applies to a
     generic trial: ``result`` holds whatever the trial function
@@ -240,7 +240,7 @@ class EpochOutcome:
 
 @dataclass
 class _Task:
-    """One submitted epoch plus everything needed to re-run it.
+    """One submitted trial plus everything needed to re-run it.
 
     The trace is retained until the task settles so a pool respawn can
     resubmit it; ``suspect`` marks tasks that were in flight when the
@@ -251,7 +251,7 @@ class _Task:
     trace: Optional[IQTrace]
     #: Explicit int seed (trial parity) or engine-spawned SeedSequence.
     seed_seq: Any
-    #: Opaque trial context (``None`` for stock epoch decodes).
+    #: Opaque trial context (the epoch index for epoch decodes).
     payload: Any = None
     attempts: int = 0
     #: Attempts that ended in an in-worker exception (retry budget).
@@ -310,21 +310,16 @@ class BatchDecoder:
         queue before the supervisor declares it hung, kills the pool
         and resubmits the in-flight work.  ``None`` (default) disables
         the watchdog.
-    max_attempts:
-        Decode attempts per epoch that may end in an in-worker
-        exception before the epoch is reported ``failed``.  Retries
-        back off exponentially from ``retry_backoff_s``.
-    retry_backoff_s:
-        Base delay before the first retry; doubles per retry.
+
+    In-worker exceptions are retried up to :data:`MAX_ATTEMPTS`
+    attempts, backing off exponentially from :data:`RETRY_BACKOFF_S`.
     """
 
     def __init__(self, config: Optional[LFDecoderConfig] = None,
                  seed: int = 0,
                  max_workers: Optional[int] = None,
                  use_shared_memory: Optional[bool] = None,
-                 task_timeout_s: Optional[float] = None,
-                 max_attempts: int = 2,
-                 retry_backoff_s: float = 0.05):
+                 task_timeout_s: Optional[float] = None):
         self.config = config or LFDecoderConfig()
         self.seed = seed
         if max_workers is None:
@@ -344,14 +339,6 @@ class BatchDecoder:
             raise ConfigurationError(
                 f"task_timeout_s must be positive, got {task_timeout_s}")
         self.task_timeout_s = task_timeout_s
-        if max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {max_attempts}")
-        self.max_attempts = max_attempts
-        if retry_backoff_s < 0:
-            raise ConfigurationError(
-                f"retry_backoff_s must be >= 0, got {retry_backoff_s}")
-        self.retry_backoff_s = retry_backoff_s
 
     # -- public API --------------------------------------------------------
 
@@ -401,18 +388,12 @@ class BatchDecoder:
 
         This is :meth:`iter_decode` plus the supervision verdict: the
         engine guarantees exactly one outcome per input even when tasks
-        raise, hang, or kill their worker process.
+        raise, hang, or kill their worker process.  Each epoch runs as
+        the trial :func:`_decode_trial` with its index as payload.
         """
-        seed_iter = iter_spawn_seed_sequences(self.seed)
-        tasks = (_Task(index=index, trace=trace,
-                       seed_seq=next(seed_iter))
+        specs = (TrialSpec(trace=trace, payload=index)
                  for index, trace in enumerate(traces))
-        yield from self._iter_task_outcomes(tasks, None)
-
-    def run_trials(self, trial_fn: Callable,
-                   trials: Sequence[TrialSpec]) -> List[EpochOutcome]:
-        """Run every trial; one :class:`EpochOutcome` per input."""
-        return list(self.iter_trials(trial_fn, trials))
+        return self.iter_trials(_decode_trial, specs)
 
     def iter_trials(self, trial_fn: Callable,
                     trials: Iterable[TrialSpec]
@@ -429,44 +410,26 @@ class BatchDecoder:
         explicit and engine seeds never shifts later trials' streams.
         """
         seed_iter = iter_spawn_seed_sequences(self.seed)
-
-        def _tasks() -> Iterator[_Task]:
-            for index, spec in enumerate(trials):
-                child = next(seed_iter)
-                seed = spec.seed if spec.seed is not None else child
-                yield _Task(index=index, trace=spec.trace,
-                            seed_seq=seed, payload=spec.payload)
-
-        yield from self._iter_task_outcomes(_tasks(), trial_fn)
-
-    def _iter_task_outcomes(self, task_iter: Iterator[_Task],
-                            trial_fn: Optional[Callable]
-                            ) -> Iterator[EpochOutcome]:
+        tasks = (_Task(index=index, trace=spec.trace,
+                       seed_seq=(spec.seed if spec.seed is not None
+                                 else child),
+                       payload=spec.payload)
+                 for (index, spec), child in zip(enumerate(trials),
+                                                 seed_iter))
         if self.max_workers <= 1:
-            yield from self._iter_serial(task_iter, trial_fn)
+            yield from self._iter_serial(tasks, trial_fn)
             return
         # A lone task is not worth a process pool.
-        first = list(_take(task_iter, 2))
+        first = list(_take(tasks, 2))
         if len(first) <= 1:
             yield from self._iter_serial(iter(first), trial_fn)
             return
-        yield from self._iter_supervised(chain(first, task_iter),
-                                         trial_fn)
+        yield from self._iter_supervised(chain(first, tasks), trial_fn)
 
     # -- serial path -------------------------------------------------------
 
-    def _run_local(self, task: _Task,
-                   trial_fn: Optional[Callable]) -> Any:
-        if trial_fn is None:
-            return _decode_task(task.index, task.trace, task.seed_seq,
-                                config=self.config)
-        return _trial_task(trial_fn, task.index, task.trace,
-                           task.payload, task.seed_seq,
-                           config=self.config)
-
     def _iter_serial(self, task_iter: Iterator[_Task],
-                     trial_fn: Optional[Callable]
-                     ) -> Iterator[EpochOutcome]:
+                     trial_fn: Callable) -> Iterator[EpochOutcome]:
         """In-process execution with the same retry policy (no
         watchdog: a hang in the caller's own process cannot be
         preempted)."""
@@ -475,16 +438,17 @@ class BatchDecoder:
             while True:
                 attempts += 1
                 try:
-                    result = self._run_local(task, trial_fn)
+                    result = _trial_task(trial_fn, task.trace,
+                                         task.payload, task.seed_seq,
+                                         config=self.config)
                 except Exception as exc:  # noqa: BLE001 — supervision
-                    if attempts >= self.max_attempts:
+                    if attempts >= MAX_ATTEMPTS:
                         yield EpochOutcome(
                             epoch_index=task.index, status="failed",
                             attempts=attempts,
                             error=f"{type(exc).__name__}: {exc}")
                         break
-                    time.sleep(self.retry_backoff_s
-                               * (2 ** (attempts - 1)))
+                    time.sleep(_retry_delay(attempts))
                 else:
                     yield _settled(task.index, result, attempts)
                     break
@@ -492,8 +456,7 @@ class BatchDecoder:
     # -- supervised pool path ----------------------------------------------
 
     def _iter_supervised(self, task_iter: Iterator[_Task],
-                         trial_fn: Optional[Callable]
-                         ) -> Iterator[EpochOutcome]:
+                         trial_fn: Callable) -> Iterator[EpochOutcome]:
         window = 2 * self.max_workers
         pending: Deque[_Task] = deque()
         pool = self._new_pool()
@@ -505,17 +468,23 @@ class BatchDecoder:
             task.suspect = False
             task.release_shm()
 
+        def _done(task: _Task, result: Any) -> None:
+            task.result = result
+            task.done = True
+            task.suspect = False
+            task.future = None
+            task.release_shm()
+
         def _worker_error(task: _Task, exc: BaseException) -> None:
             """An attempt raised inside the worker: retry or fail."""
             task.errors += 1
             task.suspect = False  # it ran to completion; worker lives
             task.future = None
             task.release_shm()
-            if task.errors >= self.max_attempts:
+            if task.errors >= MAX_ATTEMPTS:
                 _fail(task, f"{type(exc).__name__}: {exc}")
             else:
-                time.sleep(self.retry_backoff_s
-                           * (2 ** (task.errors - 1)))
+                time.sleep(_retry_delay(task.errors))
 
         def _harvest(task: _Task) -> bool:
             """Collect a done future's verdict; True if it resolved
@@ -523,11 +492,7 @@ class BatchDecoder:
             it and the task must be resubmitted."""
             exc = task.future.exception()
             if exc is None:
-                task.result = task.future.result()
-                task.done = True
-                task.suspect = False
-                task.future = None
-                task.release_shm()
+                _done(task, task.future.result())
                 return True
             if isinstance(exc, BrokenProcessPool):
                 return False
@@ -563,7 +528,7 @@ class BatchDecoder:
             if len(in_flight) == 1:
                 task = in_flight[0]
                 task.crashes += 1
-                if task.crashes >= _CRASH_STRIKES:
+                if task.crashes >= CRASH_STRIKES:
                     _fail(task, "WorkerCrashError: task killed its "
                           f"worker process {task.crashes} times; "
                           "quarantined")
@@ -623,7 +588,7 @@ class BatchDecoder:
                         continue
                     head.crashes += 1
                     _restart_pool()
-                    if head.crashes >= _CRASH_STRIKES:
+                    if head.crashes >= CRASH_STRIKES:
                         _fail(head, "TaskHangError: task exceeded the "
                               f"{self.task_timeout_s:g}s watchdog "
                               f"{head.crashes} times; quarantined")
@@ -632,11 +597,7 @@ class BatchDecoder:
                 except Exception as exc:  # noqa: BLE001 — supervision
                     _worker_error(head, exc)
                 else:
-                    head.result = result
-                    head.done = True
-                    head.suspect = False
-                    head.future = None
-                    head.release_shm()
+                    _done(head, result)
         finally:
             # Consumer abandoned the iterator, or we are done: cancel
             # what never started, join the workers, then unlink every
@@ -665,7 +626,7 @@ class BatchDecoder:
                             error=task.error or "task failed")
 
     def _submit(self, pool: ProcessPoolExecutor, task: _Task,
-                trial_fn: Optional[Callable] = None) -> None:
+                trial_fn: Callable) -> None:
         """Submit one task, preferring the shared-memory transport.
 
         Falls back to the pickle transport per task when the block
@@ -678,50 +639,23 @@ class BatchDecoder:
         if self.use_shared_memory and trace is not None:
             samples = np.ascontiguousarray(trace.samples,
                                            dtype=np.complex128)
-            shm = None
             try:
-                shm = _shared_memory.SharedMemory(create=True,
-                                                  size=samples.nbytes)
-                view = np.ndarray(samples.shape, dtype=np.complex128,
-                                  buffer=shm.buf)
-                view[:] = samples
-                task.shm = shm
-                if trial_fn is None:
-                    task.future = pool.submit(
-                        _decode_task_shm, task.index, shm.name,
-                        samples.size, trace.sample_rate_hz,
-                        trace.start_time_s, task.seed_seq)
-                else:
-                    task.future = pool.submit(
-                        _trial_task_shm, trial_fn, task.index,
-                        shm.name, samples.size, trace.sample_rate_hz,
-                        trace.start_time_s, task.payload,
-                        task.seed_seq)
+                task.shm = _shared_memory.SharedMemory(
+                    create=True, size=samples.nbytes)
+                np.ndarray(samples.shape, dtype=np.complex128,
+                           buffer=task.shm.buf)[:] = samples
+                task.future = pool.submit(
+                    _trial_task_shm, trial_fn, task.shm.name,
+                    samples.size, trace.sample_rate_hz,
+                    trace.start_time_s, task.payload, task.seed_seq)
                 return
             except BrokenProcessPool:
-                task.shm = None
-                if shm is not None:
-                    shm.close()
-                    try:
-                        shm.unlink()
-                    except FileNotFoundError:  # pragma: no cover
-                        pass
+                task.release_shm()
                 raise
             except (OSError, ValueError):
-                task.shm = None
-                if shm is not None:
-                    shm.close()
-                    try:
-                        shm.unlink()
-                    except FileNotFoundError:  # pragma: no cover
-                        pass
-        if trial_fn is None:
-            task.future = pool.submit(_decode_task, task.index, trace,
-                                      task.seed_seq)
-        else:
-            task.future = pool.submit(_trial_task, trial_fn,
-                                      task.index, trace, task.payload,
-                                      task.seed_seq)
+                task.release_shm()
+        task.future = pool.submit(_trial_task, trial_fn, trace,
+                                  task.payload, task.seed_seq)
 
     def aggregate_timings(self, results: Iterable[EpochResult]
                           ) -> Dict[str, float]:
@@ -729,14 +663,6 @@ class BatchDecoder:
         total: Dict[str, float] = {}
         for result in results:
             StatsAccumulator.merge_timing(total, result.stage_timings)
-        return total
-
-    def aggregate_fidelity_stats(self, results: Iterable[EpochResult]
-                                 ) -> Dict[str, int]:
-        """Sum fidelity-gate counters across epoch results."""
-        total: Dict[str, int] = {}
-        for result in results:
-            StatsAccumulator.merge_counts(total, result.fidelity_stats)
         return total
 
 

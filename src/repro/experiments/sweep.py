@@ -140,21 +140,18 @@ class SweepRunner:
     seed:
         Root of the per-cell seed derivation for trials without
         explicit seeds.
-    max_workers / engine_kwargs:
-        Forwarded to :class:`BatchDecoder` (worker count, watchdog,
-        retry policy, transport).
+    max_workers:
+        Worker count, forwarded to :class:`BatchDecoder`.
     """
 
     def __init__(self, trial_fn: Callable,
                  config: Optional[LFDecoderConfig] = None,
                  seed: int = 0,
-                 max_workers: Optional[int] = None,
-                 **engine_kwargs: Any):
+                 max_workers: Optional[int] = None):
         self.trial_fn = trial_fn
         self.seed = seed
         self.engine = BatchDecoder(config=config, seed=seed,
-                                   max_workers=max_workers,
-                                   **engine_kwargs)
+                                   max_workers=max_workers)
 
     # -- execution ---------------------------------------------------------
 

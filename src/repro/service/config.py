@@ -69,8 +69,6 @@ class ServiceConfig:
     #: Root seed; each stream's decoder RNG derives from
     #: (seed, reader_id, antenna) so results replay bit-identically.
     seed: int = 0
-    #: Decode attempts per chunk before it is reported failed.
-    max_attempts: int = 2
     #: Consecutive failed chunks on one stream before its session is
     #: respawned cold (the service-level analogue of the batch
     #: engine's worker respawn).
@@ -108,9 +106,6 @@ class ServiceConfig:
         if self.ring_samples < 1:
             raise ConfigurationError(
                 f"ring_samples must be >= 1, got {self.ring_samples}")
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.respawn_after < 1:
             raise ConfigurationError(
                 f"respawn_after must be >= 1, got {self.respawn_after}")

@@ -51,6 +51,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.engine import attach_shared_memory
 from ..errors import FrameTooLargeError, RingFullError, ServiceError
 
 try:
@@ -308,29 +309,16 @@ class RingView:
     reclamation all stay with the owning parent, so there is no
     cross-process state to keep coherent.
 
-    Attaching re-registers the block with the ``shared_memory``
-    resource tracker.  Under the ``fork`` start method the tracker
-    process is shared with the parent and registration is a set, so
-    the extra registration is harmless (and unregistering would strip
-    the parent's own entry); under per-process trackers the attachment
-    must be unregistered or the child's tracker tears the block down
-    when the child exits — the same dance the batch engine's shm
-    transport does (:func:`repro.core.engine._decode_task_shm`).
+    Attaching goes through the batch engine's
+    :func:`~repro.core.engine.attach_shared_memory`, which keeps the
+    child's resource tracker from tearing the parent's block down.
     """
 
     def __init__(self, name: str):
         if _shared_memory is None:  # pragma: no cover - CPython 3.8+
             raise ServiceError("multiprocessing.shared_memory is "
                                "unavailable")
-        self._shm = _shared_memory.SharedMemory(name=name)
-        try:
-            import multiprocessing
-            if multiprocessing.get_start_method() != "fork":
-                from multiprocessing import resource_tracker
-                resource_tracker.unregister(self._shm._name,
-                                            "shared_memory")
-        except Exception:  # pragma: no cover - tracker layout varies
-            pass
+        self._shm = attach_shared_memory(name)
         self.capacity = self._shm.size // _SAMPLE_DTYPE().itemsize
         self._buf = np.ndarray((self.capacity,), dtype=_SAMPLE_DTYPE,
                                buffer=self._shm.buf)

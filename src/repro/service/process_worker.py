@@ -14,7 +14,7 @@ exactly one process:
   (:class:`~repro.service.framing.RingView`) and decodes each frame
   zero-copy from the ``(start, n)`` region the parent sends, running
   the same :class:`SessionPool` code the thread executor runs — same
-  seeds, same retry ladder, so decodes stay bit-identical.
+  seeds, same retry budget, so decodes stay bit-identical.
 
 The pipe protocol is **lock-step**: at most one command is in flight
 per child, serialized by an IPC lock in the parent.  That makes kill
@@ -35,7 +35,9 @@ Supervision mirrors the batch engine's pool supervision
   ``ServiceConfig.child_timeout_s`` → the parent terminates the
   child) respawns the child and resubmits the frame once — sessions
   rebuild from the same stream seeds, so the retried decode is
-  bit-identical — with a second strike failing the frame;
+  bit-identical — failing the frame after
+  :data:`~repro.core.engine.CRASH_STRIKES` strikes, the batch
+  engine's quarantine;
 * either way the parent retires the frame's ring region itself, so a
   dying child can never leak a ring slot or pin ``/dev/shm``.
 
@@ -60,9 +62,7 @@ import signal
 import threading
 from typing import Callable, Dict, Optional, Tuple
 
-# Strikes (send + resubmission) before a frame is failed on a child
-# that keeps dying or hanging: the batch engine's crash quarantine.
-from ..core.engine import _CRASH_STRIKES
+from ..core.engine import CRASH_STRIKES
 from ..errors import ConfigurationError
 from ..types import EpochResult
 from .config import ServiceConfig
@@ -76,7 +76,8 @@ from .worker import (STATUS_FAILED, ChunkResult, SessionPool,
 _REAP_TIMEOUT_S = 5.0
 
 #: Verdict tuple shipped child → parent: (status, result, attempts,
-#: error, decode_s).
+#: error, decode_s).  The parent adds the attempts its dead children
+#: started before this one answered.
 _Verdict = Tuple[str, Optional[EpochResult], int, Optional[str], float]
 
 
@@ -176,7 +177,10 @@ class ProcessShardWorker(ShardWorker):
                   else self.ring.region(frame.frame_id))
         with self._ipc:
             last_error = "worker process unavailable"
-            for strike in range(1, _CRASH_STRIKES + 1):
+            # Attempts lost with a silently dead or hung child: one
+            # each (how far its own retry loop got is unknowable).
+            lost = 0
+            for strike in range(1, CRASH_STRIKES + 1):
                 if self._conn is None or self._child is None or \
                         not self._child.is_alive():
                     self._respawn_child_locked()
@@ -193,31 +197,34 @@ class ProcessShardWorker(ShardWorker):
                         = payload
                     if delta:
                         self._registry.apply_delta(delta)
-                    return status, result, attempts, error, decode_s
+                    return (status, result, lost + attempts, error,
+                            decode_s)
                 if kind == "died":
                     # Deliberate in-decode kill (chaos): the child
                     # announced it.  Fail the frame immediately — the
                     # thread executor's verdict for the same fault —
                     # and bring up a fresh child for the next frame.
+                    reason, attempts = payload
                     self._respawn_child_locked()
-                    return (STATUS_FAILED, None, 1,
-                            f"worker died: {payload}", 0.0)
+                    return (STATUS_FAILED, None, lost + attempts,
+                            f"worker died: {reason}", 0.0)
+                lost += 1
                 if kind == "hang":
                     last_error = (
                         f"worker process hung > "
                         f"{self.config.child_timeout_s}s (strike "
-                        f"{strike}/{_CRASH_STRIKES})")
+                        f"{strike}/{CRASH_STRIKES})")
                 else:  # silent crash: EOF with no announcement
                     last_error = (
                         f"worker process died (strike "
-                        f"{strike}/{_CRASH_STRIKES})")
+                        f"{strike}/{CRASH_STRIKES})")
                 self._respawn_child_locked()
-            return STATUS_FAILED, None, _CRASH_STRIKES, last_error, 0.0
+            return STATUS_FAILED, None, lost, last_error, 0.0
 
     def _await_reply_locked(self, conn) -> Tuple[str, object]:
         """Wait for the child's reply to one ``("frame", …)`` command.
 
-        Returns ``("result", verdict)``, ``("died", reason)``,
+        Returns ``("result", verdict)``, ``("died", (reason, attempts))``,
         ``("hang", None)`` on ``child_timeout_s`` expiry, or
         ``("eof", None)`` when the child vanished silently.
         """
@@ -235,7 +242,7 @@ class ProcessShardWorker(ShardWorker):
             except (EOFError, ConnectionResetError, OSError):
                 return "eof", None
             if msg[0] in ("result", "died"):
-                return msg[0], msg[1] if msg[0] == "died" else msg[1:]
+                return msg[0], msg[1:]
             # Unsolicited message (stale cache_stats reply from a
             # previous incarnation) — drop and keep waiting.
 
@@ -312,8 +319,8 @@ def _child_main(shard_id: int, config: ServiceConfig,
                 # parent's supervision (not a half-alive loop) owns
                 # what happens next.
                 try:
-                    conn.send(
-                        ("died", f"{type(exc).__name__}: {exc}"))
+                    conn.send(("died", f"{type(exc).__name__}: {exc}",
+                               pool.attempts_started))
                 except (BrokenPipeError, OSError):
                     pass
                 exit_code = 1

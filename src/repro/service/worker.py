@@ -12,8 +12,9 @@ k-means / lattice caches stay warm chunk to chunk — and hands a
 The health model is the PR 3 supervision machinery scaled to a
 long-running service:
 
-* a decode that raises is retried up to ``max_attempts`` (same
-  semantics as the batch engine's in-worker retry budget);
+* a decode that raises is retried up to the batch engine's
+  :data:`~repro.core.engine.MAX_ATTEMPTS` attempts — the same budget,
+  without the engine's backoff sleep, which would stall the shard;
 * a stream whose chunks keep failing has its session **respawned
   cold** after ``respawn_after`` consecutive failures (the service
   analogue of pool respawn — inside each session, the PR 3 tracker
@@ -36,14 +37,15 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.engine import MAX_ATTEMPTS
 from ..core.session_decoder import SessionDecoder
 from ..types import EpochResult, IQTrace
-from .config import BLOCK, SHED_OLDEST, ServiceConfig
+from .config import ServiceConfig
 from .framing import ChunkFrame, ChunkRing
 from .metrics import MetricsRegistry, StageLatencyObserver
 from .router import stream_seed
@@ -64,7 +66,9 @@ class ChunkResult:
     ``decode_chunked`` sees per chunk) for decoded chunks and is
     ``None`` for shed or failed ones.  ``latency_s`` is
     ingest-to-completion wall clock (queue wait included);
-    ``decode_s`` the decode call alone.
+    ``decode_s`` the decode call alone.  ``attempts`` counts the decode
+    attempts started, including any lost to a dead worker (0 for shed
+    frames, which never reached a decoder).
     """
 
     frame: ChunkFrame
@@ -104,7 +108,9 @@ class SessionPool:
     ``(status, result, attempts, error, decode_s)`` rather than a
     :class:`ChunkResult` because across a process boundary the frame's
     bookkeeping (latency, ring retire, completion callbacks) belongs
-    to the parent.
+    to the parent.  ``attempts_started`` outlives a decode torn down
+    by a ``BaseException``, so the executor can still report how many
+    attempts the lost frame got.
     """
 
     def __init__(self, shard_id: int, config: ServiceConfig,
@@ -115,6 +121,8 @@ class SessionPool:
             OrderedDict()
         self._observer = StageLatencyObserver(registry, shard_id)
         self._shard_label = str(shard_id)
+        #: Decode attempts started on the current (or last) frame.
+        self.attempts_started = 0
         self._m_retries = registry.counter(
             "lf_chunk_retries_total",
             "Decode attempts beyond the first, per shard.")
@@ -144,13 +152,13 @@ class SessionPool:
                         sample_rate_hz=frame.sample_rate_hz,
                         start_time_s=frame.start_time_s,
                         allow_nonfinite=True)
+        self.attempts_started = 0
         slot = self._slot_for(frame.stream_key)
-        attempts = 0
         error: Optional[str] = None
         result: Optional[EpochResult] = None
         decode_s = 0.0
-        while attempts < self.config.max_attempts:
-            attempts += 1
+        for attempt in range(1, MAX_ATTEMPTS + 1):
+            self.attempts_started = attempt
             start = time.perf_counter()
             try:
                 result = slot.decoder.decode_epoch(
@@ -160,7 +168,7 @@ class SessionPool:
             except Exception as exc:  # noqa: BLE001 — supervision
                 decode_s = time.perf_counter() - start
                 error = f"{type(exc).__name__}: {exc}"
-                if attempts < self.config.max_attempts:
+                if attempt < MAX_ATTEMPTS:
                     self._m_retries.inc(1.0, shard=self._shard_label)
         if result is None:
             slot.consecutive_failures += 1
@@ -170,7 +178,7 @@ class SessionPool:
         else:
             slot.consecutive_failures = 0
             status = STATUS_DEGRADED if result.degraded else STATUS_OK
-        return status, result, attempts, error, decode_s
+        return status, result, self.attempts_started, error, decode_s
 
     def _slot_for(self, key: Tuple[int, int]) -> _StreamSlot:
         slot = self._sessions.get(key)
@@ -417,6 +425,7 @@ class ShardWorker:
                                         status=STATUS_FAILED)
                 self._on_result(ChunkResult(
                     frame=frame, status=STATUS_FAILED,
+                    attempts=self.pool.attempts_started,
                     error=f"worker died: {type(exc).__name__}: {exc}",
                     latency_s=latency, shard=self.shard_id))
                 raise

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import BatchDecoder, _decode_task
+from repro.core.engine import BatchDecoder, _decode_trial
 from repro.core.pipeline import LFDecoder, LFDecoderConfig
 from repro.errors import ConfigurationError
 from repro.phy.channel import ChannelModel, random_coefficients
@@ -66,7 +66,8 @@ def test_different_seeds_are_independent_per_task(traces, config):
     """Task results depend only on (root seed, index), not on what the
     engine decoded before them."""
     seqs = spawn_seed_sequences(3, len(traces))
-    direct = [_decode_task(i, trace, seqs[i], config=config)
+    direct = [_decode_trial(trace, i, np.random.default_rng(seqs[i]),
+                            config)
               for i, trace in enumerate(traces)]
     batch = BatchDecoder(config=config, seed=3,
                          max_workers=1).decode_epochs(traces)

@@ -1,10 +1,12 @@
 """Supervision tests for the batch engine: crashes, hangs, retries,
 and resource cleanup.
 
-The crash/hang helpers monkeypatch :func:`repro.core.engine._decode_task`
-in the parent process; the pool's workers are forked *after* the patch
-(pools spawn lazily at first submit, and respawned pools re-fork), so
-the sabotage propagates into every worker generation.
+Faults ride in through top-level trial functions passed to
+:meth:`BatchDecoder.iter_trials`: each trial's payload carries its
+epoch index plus the fault's target, and every trial that is not
+sabotaged decodes exactly like :func:`repro.core.engine._decode_trial`.
+Being module-level, the trial functions pickle by reference into every
+worker generation, respawned pools included.
 """
 
 import glob
@@ -15,7 +17,8 @@ import numpy as np
 import pytest
 
 from repro.core import engine as engine_module
-from repro.core.engine import BatchDecoder, EpochOutcome, _decode_task
+from repro.core.engine import (BatchDecoder, EpochOutcome, TrialSpec,
+                               _decode_trial)
 from repro.utils.rng import spawn_seed_sequences
 
 from ..conftest import build_decoder, build_network
@@ -25,6 +28,52 @@ N_EPOCHS = 6
 if engine_module._shared_memory is None:  # pragma: no cover
     pytest.skip("platform lacks multiprocessing.shared_memory",
                 allow_module_level=True)
+
+#: Epoch indices the serial-path trial saw, in call order.
+_SERIAL_CALLS = []
+
+
+def _crash_trial(trace, payload, rng, config):
+    index, victim = payload
+    if index == victim:
+        os._exit(17)
+    return _decode_trial(trace, index, rng, config)
+
+
+def _hang_trial(trace, payload, rng, config):
+    index, victim = payload
+    if index == victim:
+        time.sleep(300)
+    return _decode_trial(trace, index, rng, config)
+
+
+def _flaky_trial(trace, payload, rng, config):
+    """Index ``victim`` fails its first attempt only: ``marker`` is a
+    file path that survives the worker process."""
+    index, (victim, marker) = payload
+    if index == victim and not os.path.exists(marker):
+        with open(marker, "w") as fh:
+            fh.write("x")
+        raise RuntimeError("transient glitch")
+    return _decode_trial(trace, index, rng, config)
+
+
+def _broken_trial(trace, payload, rng, config):
+    index, victim = payload
+    if index == victim:
+        raise ValueError("permanently broken epoch")
+    return _decode_trial(trace, index, rng, config)
+
+
+def _always_broken_trial(trace, payload, rng, config):
+    _SERIAL_CALLS.append(payload[0])
+    raise ValueError("nope")
+
+
+def _trials(traces, target):
+    """One spec per epoch whose payload is ``(index, target)``."""
+    return [TrialSpec(trace=t, payload=(i, target))
+            for i, t in enumerate(traces)]
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +97,7 @@ def traces(captures):
 def baseline(config, traces):
     """Serial reference results for the same seeds."""
     seqs = spawn_seed_sequences(0, len(traces))
-    return [_decode_task(i, t, seqs[i], config=config)
+    return [_decode_trial(t, i, np.random.default_rng(seqs[i]), config)
             for i, t in enumerate(traces)]
 
 
@@ -62,17 +111,11 @@ def _assert_matches_baseline(outcome, reference):
 
 class TestWorkerCrash:
     def test_crashing_task_quarantined_batch_completes(
-            self, config, traces, baseline, monkeypatch):
+            self, config, traces, baseline):
         victim = 2
-
-        def crashing(index, trace, seed_seq, config=None):
-            if index == victim:
-                os._exit(17)
-            return _decode_task(index, trace, seed_seq, config=config)
-
-        monkeypatch.setattr(engine_module, "_decode_task", crashing)
         engine = BatchDecoder(config=config, seed=0, max_workers=2)
-        outcomes = engine.decode_outcomes(traces)
+        outcomes = list(engine.iter_trials(_crash_trial,
+                                           _trials(traces, victim)))
         assert [o.epoch_index for o in outcomes] == \
             list(range(len(traces)))
         assert outcomes[victim].status == "failed"
@@ -84,36 +127,36 @@ class TestWorkerCrash:
 
     def test_crash_surfaces_as_engine_fault_in_iter_decode(
             self, config, traces, monkeypatch):
-        def crashing(index, trace, seed_seq, config=None):
+        """A failed epoch still yields from ``iter_decode``, as an
+        empty result carrying an ``engine``-stage fault.  The serial
+        path runs the epoch trial in this process, so patching it
+        here reaches every attempt."""
+        def raising(trace, index, rng, config):
             if index == 1:
-                os._exit(17)
-            return _decode_task(index, trace, seed_seq, config=config)
+                raise RuntimeError("decoder blew up")
+            return _decode_trial(trace, index, rng, config)
 
-        monkeypatch.setattr(engine_module, "_decode_task", crashing)
-        engine = BatchDecoder(config=config, seed=0, max_workers=2)
-        results = engine.decode_epochs(traces)
-        assert len(results) == len(traces)
+        monkeypatch.setattr(engine_module, "_decode_trial", raising)
+        engine = BatchDecoder(config=config, seed=0, max_workers=1)
+        results = engine.decode_epochs(traces[:3])
+        assert len(results) == 3
+        assert [r.epoch_index for r in results] == [0, 1, 2]
         failed = results[1]
         assert failed.degraded
         assert failed.degraded_streams[0].stage == "engine"
+        assert failed.degraded_streams[0].error_type == "RuntimeError"
         assert not failed.streams
 
 
 class TestHang:
     def test_hung_task_times_out_batch_completes(
-            self, config, traces, baseline, monkeypatch):
+            self, config, traces, baseline):
         victim = 1
-
-        def hanging(index, trace, seed_seq, config=None):
-            if index == victim:
-                time.sleep(300)
-            return _decode_task(index, trace, seed_seq, config=config)
-
-        monkeypatch.setattr(engine_module, "_decode_task", hanging)
         engine = BatchDecoder(config=config, seed=0, max_workers=2,
                               task_timeout_s=1.0)
         start = time.monotonic()
-        outcomes = engine.decode_outcomes(traces)
+        outcomes = list(engine.iter_trials(_hang_trial,
+                                           _trials(traces, victim)))
         elapsed = time.monotonic() - start
         assert [o.epoch_index for o in outcomes] == \
             list(range(len(traces)))
@@ -128,53 +171,32 @@ class TestHang:
 
 class TestRetry:
     def test_transient_worker_error_retried(self, config, traces,
-                                            baseline, monkeypatch,
-                                            tmp_path):
-        marker = tmp_path / "failed-once"
-
-        def flaky(index, trace, seed_seq, config=None):
-            if index == 3 and not marker.exists():
-                marker.write_text("x")
-                raise RuntimeError("transient glitch")
-            return _decode_task(index, trace, seed_seq, config=config)
-
-        monkeypatch.setattr(engine_module, "_decode_task", flaky)
-        engine = BatchDecoder(config=config, seed=0, max_workers=2,
-                              max_attempts=3)
-        outcomes = engine.decode_outcomes(traces)
+                                            baseline, tmp_path):
+        marker = str(tmp_path / "failed-once")
+        engine = BatchDecoder(config=config, seed=0, max_workers=2)
+        outcomes = list(engine.iter_trials(
+            _flaky_trial, _trials(traces, (3, marker))))
         assert outcomes[3].attempts >= 2
         for i, outcome in enumerate(outcomes):
             _assert_matches_baseline(outcome, baseline[i])
 
     def test_persistent_error_fails_after_max_attempts(
-            self, config, traces, monkeypatch):
-        def broken(index, trace, seed_seq, config=None):
-            if index == 0:
-                raise ValueError("permanently broken epoch")
-            return _decode_task(index, trace, seed_seq, config=config)
-
-        monkeypatch.setattr(engine_module, "_decode_task", broken)
-        engine = BatchDecoder(config=config, seed=0, max_workers=2,
-                              max_attempts=2, retry_backoff_s=0.01)
-        outcomes = engine.decode_outcomes(traces)
+            self, config, traces):
+        engine = BatchDecoder(config=config, seed=0, max_workers=2)
+        outcomes = list(engine.iter_trials(_broken_trial,
+                                           _trials(traces, 0)))
         assert outcomes[0].status == "failed"
         assert "ValueError" in outcomes[0].error
-        assert outcomes[0].attempts == 2
+        assert outcomes[0].attempts == engine_module.MAX_ATTEMPTS == 2
 
     def test_serial_path_retries_and_fails_identically(
-            self, config, traces, monkeypatch):
-        calls = []
-
-        def broken(index, trace, seed_seq, config=None):
-            calls.append(index)
-            raise ValueError("nope")
-
-        monkeypatch.setattr(engine_module, "_decode_task", broken)
-        engine = BatchDecoder(config=config, seed=0, max_workers=1,
-                              max_attempts=2, retry_backoff_s=0.0)
-        outcomes = engine.decode_outcomes(traces[:2])
+            self, config, traces):
+        _SERIAL_CALLS.clear()
+        engine = BatchDecoder(config=config, seed=0, max_workers=1)
+        outcomes = list(engine.iter_trials(_always_broken_trial,
+                                           _trials(traces[:2], None)))
         assert [o.status for o in outcomes] == ["failed", "failed"]
-        assert calls == [0, 0, 1, 1]
+        assert _SERIAL_CALLS == [0, 0, 1, 1]
 
 
 class TestOutcomeStatuses:
@@ -210,16 +232,9 @@ class TestSharedMemoryHygiene:
         iterator.close()  # consumer walks away mid-batch
         assert _shm_blocks() == before
 
-    def test_crash_path_leaks_no_blocks(self, config, traces,
-                                        monkeypatch):
-        def crashing(index, trace, seed_seq, config=None):
-            if index == 2:
-                os._exit(17)
-            return _decode_task(index, trace, seed_seq, config=config)
-
-        monkeypatch.setattr(engine_module, "_decode_task", crashing)
+    def test_crash_path_leaks_no_blocks(self, config, traces):
         before = _shm_blocks()
         engine = BatchDecoder(config=config, seed=0, max_workers=2,
                               use_shared_memory=True)
-        engine.decode_outcomes(traces)
+        list(engine.iter_trials(_crash_trial, _trials(traces, 2)))
         assert _shm_blocks() == before

@@ -21,6 +21,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.engine import MAX_ATTEMPTS
 from repro.errors import ConfigurationError
 from repro.service import (BLOCK, SHED_OLDEST, ChunkResult,
                            DecodeService, ServiceConfig, STATUS_FAILED,
@@ -176,7 +177,7 @@ def test_ring_full_falls_back_to_inline_transport():
 def test_failing_stream_retries_then_respawns_cold():
     async def run():
         h = _Harness(overflow=SHED_OLDEST, queue_depth=8,
-                     max_attempts=2, respawn_after=2)
+                     respawn_after=2)
         h.gate.set()                   # never block, always fail
         h.decoder.failing = True
         async with h.service:
@@ -188,7 +189,7 @@ def test_failing_stream_retries_then_respawns_cold():
         failed = h.by_status(STATUS_FAILED)
         assert snap.failed == 4 and len(failed) == 4
         # Each chunk used its full retry budget...
-        assert all(r.attempts == 2 for r in failed)
+        assert all(r.attempts == MAX_ATTEMPTS == 2 for r in failed)
         assert all("injected decode failure" in r.error
                    for r in failed)
         # ...and after every `respawn_after` consecutive failures the
@@ -234,5 +235,3 @@ def test_config_validation():
         ServiceConfig(queue_depth=0)
     with pytest.raises(ConfigurationError):
         ServiceConfig(overflow="drop_newest")
-    with pytest.raises(ConfigurationError):
-        ServiceConfig(max_attempts=0)

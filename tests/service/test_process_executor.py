@@ -120,6 +120,8 @@ def test_silent_child_death_resubmits_and_recovers_the_frame(
     # died with the child.
     assert [r.status for r in results] == ["ok", "ok", "ok"]
     assert stats.failed == 0
+    # The attempt lost with the first child counts.
+    assert results[1].attempts == 2
     assert 'kind="worker_process"' in service.render_metrics()
 
 

@@ -3,8 +3,9 @@
 Runs ``benchmarks/check_regression.py::main`` on synthetic bench
 exports: the headline ``test_decode_speed_16_tags`` rate must clear
 ``baseline * (1 - tolerance)``, and an export without that entry
-fails.  The service, survival and signoff sections point at missing
-files, which they skip.
+fails.  Without ``--candidate`` the gate reads the median of fresh
+runs, here stubbed.  The service, survival and signoff sections point
+at missing files, which they skip.
 """
 
 from __future__ import annotations
@@ -76,3 +77,33 @@ def test_unparametrized_candidate_matches_committed_reference_entry(
                 if b["name"] == "test_decode_speed_16_tags[reference]")
     assert _gate(tmp_path, _export(rate), COMMITTED_BASELINE) == 0
     assert _gate(tmp_path, _export(rate * 0.5), COMMITTED_BASELINE) == 1
+
+
+@pytest.mark.parametrize("factors, expected", [
+    # One slow reading: the median clears (the mean would not).
+    ((0.5, 1.1, 1.1), 0),
+    # Two slow readings: the median fails (the mean would not).
+    ((0.9, 0.9, 1.5), 1),
+])
+def test_fresh_runs_gate_on_the_median(tmp_path, monkeypatch, capsys,
+                                       factors, expected):
+    """Without ``--candidate`` the gate runs the speed test
+    ``FRESH_RUNS`` times and reads the median, so one noisy run can
+    neither pass nor fail it alone."""
+    baseline = _write(tmp_path, "baseline.json", _export(400_000.0))
+    floor = 400_000.0 * (1.0 - 0.2)
+    readings = iter([(floor * f, None) for f in factors])
+    monkeypatch.setattr(check_regression, "run_speed_test",
+                        lambda: next(readings))
+    missing = tmp_path / "missing.json"
+    status = check_regression.main([
+        "--baseline", str(baseline),
+        "--service-candidate", str(missing),
+        "--survival", str(missing),
+        "--signoff-candidate", str(missing)])
+    assert status == expected
+    assert check_regression.FRESH_RUNS == 3
+    assert next(readings, None) is None, "every fresh run was read"
+    out = capsys.readouterr().out
+    for f in factors:
+        assert f"{floor * f:,.0f}" in out
